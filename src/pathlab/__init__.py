@@ -12,7 +12,6 @@ from .paths import (
     noncontact_heights,
     north_index_set,
     parse_path,
-    region_new,
 )
 from .polynomials import MultiPoly
 from .words import factorize, switch, switch_inv

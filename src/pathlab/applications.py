@@ -163,11 +163,7 @@ def contact_formula_count(case: int, params: tuple[int, ...], i: int, j: int) ->
 
 
 def direct_contact_count(region: Region, i: int, j: int, south_allowed: bool = False) -> int:
-    return sum(
-        1
-        for p in enumerate_paths(region, south_allowed)
-        if contact_stats(region, p).t == i and contact_stats(region, p).b == j
-    )
+    return path_distribution(region, ["t", "b"], south_allowed).terms.get((i, j), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +447,8 @@ class ConjectureReport:
     counterexample: str | None
 
 
-def _monotone_paths(x: int, y: int) -> list[Path]:
-    out = []
-
-    def rec(col: int, prev: int, acc: tuple[int, ...]):
-        if col == x:
-            out.append(Path(acc, y))
-            return
-        for h in range(prev, y + 1):
-            rec(col + 1, h, acc + (h,))
-
-    rec(0, 0, ())
-    return out
-
-
 def regions_touching_only_at_ends(n: int) -> list[Region]:
-    paths = _monotone_paths(n, n)
+    paths = list(enumerate_paths(Region.rectangle(n, n)))
     ends = {(0, 0), (n, n)}
     regions = []
     for top in paths:
@@ -513,10 +495,7 @@ def conjecture_53_check(n: int) -> ConjectureReport:
     full_top = (n,) * n
     full_bottom = (0,) * n
     for region in regions:
-        counts: dict[tuple[int, int], int] = {}
-        for p in enumerate_paths(region):
-            st = contact_stats(region, p)
-            counts[(st.b, st.l)] = counts.get((st.b, st.l), 0) + 1
+        counts = path_distribution(region, ["b", "l"]).terms
         depends = _counts_depend_on_sum(counts, n + 1)
         special = (
             region.t_heights == full_top and region.b_heights == _staircase_en(n)

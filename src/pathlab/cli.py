@@ -2,8 +2,9 @@
 batch verification sweeps.
 
 Exit codes: 0 on success or a verified sweep, 1 when a check finds a
-counterexample, 2 on usage errors.  Output is deterministic for fixed
-arguments; set PATHLAB_THREADS to bound any internal parallelism.
+counterexample, 2 on usage errors, malformed path or region text included.
+Output is deterministic for fixed arguments; set PATHLAB_THREADS to bound
+any internal parallelism.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .applications import (
     watermelon_to_tuple,
 )
 from .enumeration import (
+    CONTACT_STATS,
     distribution,
     enumerate_paths,
     enumerate_tuples,
@@ -41,7 +43,15 @@ from .matroids import (
     reversed_order,
     tutte_poly,
 )
-from .paths import Path, Region, contact_stats, descent_set, parse_path
+from .paths import (
+    Path,
+    PathError,
+    Region,
+    RegionError,
+    contact_stats,
+    descent_set,
+    parse_path,
+)
 from .swaps import swapall
 from .tableaux import Tableau, psi, psi_inv, tab_of_tuple, flagged_schur, YoungShape
 from .triangulations import (
@@ -129,6 +139,8 @@ def cmd_enumerate(args) -> int:
 def cmd_dist(args) -> int:
     region = _region_from(args)
     names = [s.strip() for s in args.stats.split(",")]
+    if any(name not in CONTACT_STATS for name in names):
+        raise SystemExit2(f"stats must be a comma list over {','.join(CONTACT_STATS)}")
     poly = path_distribution(region, names, south_allowed=args.south)
     print(poly.to_json() if args.format == "json" else poly)
     return 0
@@ -482,6 +494,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit2:
         raise
+    except (PathError, RegionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

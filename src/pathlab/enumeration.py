@@ -4,6 +4,7 @@ polynomials, and a determinant shortcut for tuple counts."""
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .paths import Path, Region, contact_stats, descent_set, noncontact_heights
@@ -29,7 +30,12 @@ def enumerate_paths(
         descent_filter = frozenset(descent_filter)
     if h_filter is not None:
         h_filter = tuple(h_filter)
-    for heights in _height_sequences(region, south_allowed):
+    lo, hi = region.b_heights, region.t_heights
+    if south_allowed:
+        sequences = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    else:
+        sequences = _height_sequences(lo, hi)
+    for heights in sequences:
         path = Path(heights, region.y)
         if descent_filter is not None and descent_set(path) != descent_filter:
             continue
@@ -38,11 +44,9 @@ def enumerate_paths(
         yield path
 
 
-def _height_sequences(region: Region, south_allowed: bool) -> Iterator[tuple[int, ...]]:
-    lo, hi = region.b_heights, region.t_heights
-    if south_allowed:
-        yield from product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        return
+def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing sequences h with lo[i] <= h[i] <= hi[i], in
+    lexicographic order."""
 
     def rec(col: int, prev: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if col == len(lo):
@@ -61,21 +65,11 @@ def enumerate_tuples(region: Region, k: int) -> Iterator[PathTuple]:
         raise ValueError("k must be at least 1")
     lo = region.b_heights
 
-    def paths_below(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        def rec(col: int, prev: int, prefix: tuple[int, ...]):
-            if col == len(lo):
-                yield prefix
-                return
-            for h in range(max(prev, lo[col]), upper[col] + 1):
-                yield from rec(col + 1, h, prefix + (h,))
-
-        yield from rec(0, 0, ())
-
     def rec_tuple(level: int, upper: tuple[int, ...], acc: tuple[Path, ...]):
         if level == k:
             yield PathTuple(region, acc)
             return
-        for heights in paths_below(upper):
+        for heights in _height_sequences(lo, upper):
             yield from rec_tuple(level + 1, heights, acc + (Path(heights, region.y),))
 
     yield from rec_tuple(0, region.t_heights, ())
@@ -101,24 +95,23 @@ def poly_symmetric(p: MultiPoly, perm: dict[str, str]) -> bool:
     return p == p.permute_variables(perm)
 
 
-def contact_stat_functions(region: Region) -> dict[str, Callable[[Path], int]]:
-    """The four single-path contact statistics, keyed by their short names."""
-    return {
-        "t": lambda p: contact_stats(region, p).t,
-        "b": lambda p: contact_stats(region, p).b,
-        "l": lambda p: contact_stats(region, p).l,
-        "r": lambda p: contact_stats(region, p).r,
-    }
+CONTACT_STATS = ("t", "b", "l", "r")
 
 
 def path_distribution(
     region: Region, stat_names: list[str], south_allowed: bool = False
 ) -> MultiPoly:
-    """Joint distribution of named contact statistics over the region,
-    with variables x, y, ... in the order given."""
-    funcs = contact_stat_functions(region)
-    stats = [(VAR_NAMES[i], funcs[name]) for i, name in enumerate(stat_names)]
-    return distribution(enumerate_paths(region, south_allowed), stats)
+    """Joint distribution of named contact statistics (letters of
+    ``CONTACT_STATS``) over the region, with variables x, y, ... in the
+    order given."""
+    stats = [
+        (VAR_NAMES[i], itemgetter(CONTACT_STATS.index(name)))
+        for i, name in enumerate(stat_names)
+    ]
+    contacts = (
+        contact_stats(region, p).as_tuple() for p in enumerate_paths(region, south_allowed)
+    )
+    return distribution(contacts, stats)
 
 
 def _count_paths_avoiding(

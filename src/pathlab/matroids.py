@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
+from .enumeration import enumerate_paths
 from .paths import (
     Path,
+    PathError,
     Region,
     contains,
     north_edges,
@@ -25,6 +27,10 @@ from .polynomials import MultiPoly
 
 @dataclass(frozen=True)
 class BasesOracle:
+    """A matroid on the ground set 1..ground_size, given by a test for its
+    bases.  ``bases`` lists them by filtering every rank-sized subset, in
+    lexicographic order of their sorted elements."""
+
     ground_size: int
     rank: int
     is_base: Callable[[frozenset[int]], bool]
@@ -35,6 +41,17 @@ class BasesOracle:
             for c in combinations(range(1, self.ground_size + 1), self.rank)
             if self.is_base(frozenset(c))
         ]
+
+
+@dataclass(frozen=True)
+class _PathMatroidOracle(BasesOracle):
+    """A lattice path matroid, which lists its bases from the paths of its
+    region instead of filtering every subset."""
+
+    region: Region
+
+    def bases(self) -> list[frozenset[int]]:
+        return sorted((north_index_set(p) for p in enumerate_paths(self.region)), key=sorted)
 
 
 @dataclass(frozen=True)
@@ -78,7 +95,9 @@ def reversed_order(m: int) -> LinearOrder:
 
 def lpm_oracle(region: Region) -> BasesOracle:
     """Bases are the y-subsets of [x+y] that are the north-step positions of
-    some path in the region."""
+    some path in the region.  ``is_base`` tests one subset without listing
+    any; ``bases`` lists them from the region's paths, in the same order as
+    the subset filter."""
     x, y = region.x, region.y
 
     def is_base(subset: frozenset[int]) -> bool:
@@ -86,11 +105,11 @@ def lpm_oracle(region: Region) -> BasesOracle:
             return False
         try:
             path = path_from_north_set(x, y, frozenset(subset))
-        except Exception:
+        except PathError:
             return False
         return contains(region, path)
 
-    return BasesOracle(x + y, y, is_base)
+    return _PathMatroidOracle(x + y, y, is_base, region)
 
 
 def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
@@ -133,14 +152,62 @@ def activities(
     return len(internal), len(external)
 
 
+def exchange_masks(bases: list[frozenset[int]], m: int) -> list[tuple[int, list[int]]]:
+    """For each base B over the ground set 1..m, its bit mask and, for each
+    ground element e, the bit mask of the elements f such that exchanging e
+    and f (one in B, the other not) gives another listed base.
+
+    The list must hold every base of the matroid: ``activity_terms`` then
+    reads activities under any order off these masks alone.
+    """
+    encoded = [sum(1 << e for e in base) for base in bases]
+    listed = set(encoded)
+    out = []
+    for bits in encoded:
+        masks = [0] * (m + 1)
+        inside = [e for e in range(1, m + 1) if bits >> e & 1]
+        outside = [f for f in range(1, m + 1) if not bits >> f & 1]
+        for e in inside:
+            for f in outside:
+                if bits ^ (1 << e | 1 << f) in listed:
+                    masks[e] |= 1 << f
+                    masks[f] |= 1 << e
+        out.append((bits, masks))
+    return out
+
+
+def activity_terms(
+    masks: list[tuple[int, list[int]]], ranking: tuple[int, ...]
+) -> dict[tuple[int, int], int]:
+    """Counts of (internal, external) activity pairs over the bases whose
+    ``exchange_masks`` are given, under the order listing ``ranking``
+    smallest first.  An element is active when no smaller element
+    exchanges with it."""
+    smaller = {}
+    seen = 0
+    for e in ranking:
+        smaller[e] = seen
+        seen |= 1 << e
+    terms: dict[tuple[int, int], int] = {}
+    for bits, base_masks in masks:
+        internal = external = 0
+        for e, below in smaller.items():
+            if base_masks[e] & below == 0:
+                if bits >> e & 1:
+                    internal += 1
+                else:
+                    external += 1
+        terms[(internal, external)] = terms.get((internal, external), 0) + 1
+    return terms
+
+
 def tutte_poly(oracle: BasesOracle, order: LinearOrder) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
-    over all bases."""
-    poly = MultiPoly.zero(("x", "y"))
-    for base in oracle.bases():
-        i, e = activities(oracle, base, order)
-        poly = poly.add_monomial((i, e))
-    return poly
+    over all bases, read off the exchange masks of ``oracle.bases()``."""
+    if len(order.ranking) != oracle.ground_size:
+        raise ValueError("the order must rank the whole ground set")
+    masks = exchange_masks(oracle.bases(), oracle.ground_size)
+    return MultiPoly(("x", "y"), activity_terms(masks, order.ranking))
 
 
 def strong_exchange(

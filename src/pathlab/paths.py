@@ -223,22 +223,29 @@ class Region:
         return cls(parse_path(top), parse_path(bottom))
 
     @classmethod
+    def rectangle(cls, x: int, y: int) -> "Region":
+        """The region of every monotone path from (0,0) to (x,y)."""
+        return cls(Path((y,) * x, y), Path((0,) * x, y))
+
+    @classmethod
     def parse(cls, text: str) -> "Region":
-        """Parse the textual form ``T=<steps>;B=<steps>``."""
-        try:
-            t_part, b_part = text.split(";")
-            t_steps = t_part.split("=", 1)[1]
-            b_steps = b_part.split("=", 1)[1]
-        except (ValueError, IndexError):
-            raise RegionError(f"cannot parse region text {text!r}") from None
-        return cls.from_steps(t_steps, b_steps)
+        """Parse the textual form ``T=<steps>;B=<steps>``; the two labelled
+        parts may come in either order."""
+        parts: dict[str, str] = {}
+        for chunk in text.split(";"):
+            label, sep, steps = chunk.partition("=")
+            if not sep or label not in ("T", "B"):
+                raise RegionError(f"cannot parse region part {chunk!r} in {text!r}")
+            if label in parts:
+                raise RegionError(f"label {label} given twice in {text!r}")
+            parts[label] = steps
+        for label in ("T", "B"):
+            if label not in parts:
+                raise RegionError(f"label {label} missing from {text!r}")
+        return cls.from_steps(parts["T"], parts["B"])
 
     def __str__(self) -> str:
         return f"T={self.top};B={self.bottom}"
-
-
-def region_new(top: Path, bottom: Path) -> Region:
-    return Region(top, bottom)
 
 
 def contains(region: Region, path: Path) -> bool:
@@ -276,16 +283,4 @@ def noncontact_heights(region: Region, path: Path) -> tuple[int, ...]:
         h
         for h, th, bh in zip(path.heights, region.t_heights, region.b_heights)
         if h != th and h != bh
-    )
-
-
-def top_contact_columns(region: Region, path: Path) -> tuple[int, ...]:
-    return tuple(
-        i + 1 for i, (h, th) in enumerate(zip(path.heights, region.t_heights)) if h == th
-    )
-
-
-def bottom_contact_columns(region: Region, path: Path) -> tuple[int, ...]:
-    return tuple(
-        i + 1 for i, (h, bh) in enumerate(zip(path.heights, region.b_heights)) if h == bh
     )

@@ -114,9 +114,6 @@ class MultiPoly:
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())
 
-    def substitute_ones(self) -> int:
-        return self.coefficient_sum()
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 

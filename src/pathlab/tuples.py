@@ -74,14 +74,6 @@ def u_stats(t: PathTuple) -> tuple[int, ...]:
     return tuple(out)
 
 
-def top_stats(t: PathTuple) -> tuple[int, int, int, int]:
-    """(t, b, l, r) of the tuple: top/left contacts of the first path,
-    bottom/right contacts of the last."""
-    h = h_stats(t)
-    v = v_stats(t)
-    return (h[0], h[-1], v[0], v[-1])
-
-
 def _replace(t: PathTuple, i: int, new_path: Path) -> PathTuple:
     paths = list(t.paths)
     paths[i - 1] = new_path

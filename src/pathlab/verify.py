@@ -37,7 +37,9 @@ from .matroids import (
     LinearOrder,
     activities,
     active_elements,
+    activity_terms,
     bottom_contact_positions,
+    exchange_masks,
     left_contact_positions,
     lpm_oracle,
     natural_order,
@@ -46,7 +48,7 @@ from .matroids import (
     reversed_order,
     uniform_oracle,
 )
-from .paths import Path, Region, contact_stats, descent_set, noncontact_heights
+from .paths import Region, contact_stats, descent_set, noncontact_heights
 from .polynomials import MultiPoly
 from .swaps import swapall
 from .tableaux import (
@@ -88,26 +90,11 @@ def threads_from_env() -> int:
         return 1
 
 
-def monotone_paths(x: int, y: int) -> list[Path]:
-    out: list[Path] = []
-
-    def rec(col: int, prev: int, acc: tuple[int, ...]):
-        if col == x:
-            out.append(Path(acc, y))
-            return
-        for h in range(prev, y + 1):
-            rec(col + 1, h, acc + (h,))
-
-    rec(0, 0, ())
-    return out
-
-
 def all_regions(max_semi: int) -> Iterator[Region]:
     """Every boundary pair with x + y at most the bound."""
     for total in range(0, max_semi + 1):
         for x in range(0, total + 1):
-            y = total - x
-            paths = monotone_paths(x, y)
+            paths = list(enumerate_paths(Region.rectangle(x, total - x)))
             for top in paths:
                 for bottom in paths:
                     if all(t >= b for t, b in zip(top.heights, bottom.heights)):
@@ -224,80 +211,22 @@ def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
     regions = 0
     for region in all_regions(max_semi):
         m = region.x + region.y
-        oracle = lpm_oracle(region)
-        bases = oracle.bases()
-        partner: dict[frozenset, dict[int, int]] = {}
-        base_set = set(bases)
-        for base in bases:
-            masks = {}
-            for e in range(1, m + 1):
-                mask = 0
-                for f in range(1, m + 1):
-                    if (f in base) == (e in base):
-                        continue
-                    swapped = base - {e} | {f} if e in base else base - {f} | {e}
-                    if frozenset(swapped) in base_set:
-                        mask |= 1 << f
-                masks[e] = mask
-            partner[base] = masks
-
-        reference: dict[tuple[int, int], int] | None = None
-        for order in permutations(range(1, m + 1)):
-            smaller = {}
-            seen = 0
-            for e in order:
-                smaller[e] = seen
-                seen |= 1 << e
-            dist: dict[tuple[int, int], int] = {}
-            for base in bases:
-                masks = partner[base]
-                internal = sum(
-                    1 for e in base if masks[e] & smaller[e] == 0
-                )
-                external = sum(
-                    1
-                    for e in range(1, m + 1)
-                    if e not in base and masks[e] & smaller[e] == 0
-                )
-                dist[(internal, external)] = dist.get((internal, external), 0) + 1
-            if reference is None:
-                reference = dist
-            elif dist != reference:
-                return VerifyResult(name, False, "order changed the polynomial", f"{region}")
+        masks = exchange_masks(lpm_oracle(region).bases(), m)
+        terms = activity_terms(masks, tuple(range(1, m + 1)))
+        if any(activity_terms(masks, order) != terms for order in permutations(range(1, m + 1))):
+            return VerifyResult(name, False, "order changed the polynomial", f"{region}")
         regions += 1
 
-        natural = MultiPoly(
-            ("x", "y"),
-            _activity_dist(partner, bases, tuple(range(1, m + 1)), m),
-        )
-        reverse = MultiPoly(
-            ("x", "y"),
-            _activity_dist(partner, bases, tuple(range(m, 0, -1)), m),
-        )
+        # Every order, the reversed one included, gave the natural order's
+        # polynomial.
+        poly = MultiPoly(("x", "y"), terms)
         lb = path_distribution(region, ["l", "b"])
         rt = path_distribution(region, ["r", "t"])
-        if natural != lb.with_variable_order(("x", "y")):
+        if poly != lb.with_variable_order(("x", "y")):
             return VerifyResult(name, False, "natural order mismatch", f"{region}")
-        if reverse != rt.with_variable_order(("x", "y")):
+        if poly != rt.with_variable_order(("x", "y")):
             return VerifyResult(name, False, "reversed order mismatch", f"{region}")
     return VerifyResult(name, True, f"{regions} regions, all ground orders (x+y <= {max_semi})")
-
-
-def _activity_dist(partner, bases, order, m):
-    smaller = {}
-    seen = 0
-    for e in order:
-        smaller[e] = seen
-        seen |= 1 << e
-    terms: dict[tuple[int, int], int] = {}
-    for base in bases:
-        masks = partner[base]
-        internal = sum(1 for e in base if masks[e] & smaller[e] == 0)
-        external = sum(
-            1 for e in range(1, m + 1) if e not in base and masks[e] & smaller[e] == 0
-        )
-        terms[(internal, external)] = terms.get((internal, external), 0) + 1
-    return terms
 
 
 def check_activity_reorder(max_semi: int = 6, max_uniform: int = 5) -> VerifyResult:

@@ -144,3 +144,25 @@ def test_failure_exit_code(capsys):
     code = main(["switch", "--word", "tb"])  # fully matched word
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["swapall", "--T", "NNEE", "--B", "ENEN", "--path", "NNXE"],  # bad step
+        ["swapall", "--T", "ENEN", "--B", "NNEE", "--path", "NNEE"],  # crossing
+        ["dist", "--region", "B=ENEN;Q=NNEE", "--stats", "t,b"],  # bad label
+    ],
+)
+def test_malformed_path_or_region_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unknown_stat_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "--T", "NNEE", "--B", "ENEN", "--stats", "t,q"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and message.count("\n") == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from hypothesis import given, strategies as st
 
@@ -10,9 +11,9 @@ from pathlab.enumeration import (
     path_distribution,
     poly_symmetric,
 )
-from pathlab.paths import Path, Region
+from pathlab.paths import Path, Region, contact_stats
 from pathlab.polynomials import MultiPoly, parse_poly
-from pathlab.verify import all_regions, monotone_paths
+from pathlab.verify import all_regions
 
 SMALL = Region.from_steps("NNENEE", "ENEENN")
 
@@ -75,6 +76,19 @@ def test_distribution_polynomials_match_displays():
     assert bl == tr
 
 
+def test_path_distribution_matches_per_path_count():
+    for region in all_regions(5):
+        for south in (False, True):
+            stats = [contact_stats(region, p) for p in enumerate_paths(region, south)]
+            for a, b in product("tblr", repeat=2):
+                counts = {}
+                for stat in stats:
+                    key = (getattr(stat, a), getattr(stat, b))
+                    counts[key] = counts.get(key, 0) + 1
+                expected = MultiPoly(("x", "y"), counts)
+                assert path_distribution(region, [a, b], south) == expected, (region, a, b)
+
+
 def test_distribution_empty_stream():
     assert distribution([], [("x", len)]) == MultiPoly.zero(("x",))
 
@@ -118,7 +132,7 @@ def test_lgv_matches_enumeration_sampled_large():
         total = rng.randint(7, 10)
         x = rng.randint(1, total - 1)
         y = total - x
-        paths = monotone_paths(x, y)
+        paths = list(enumerate_paths(Region.rectangle(x, y)))
         top = rng.choice(paths)
         below = [
             p

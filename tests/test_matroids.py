@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from pathlab.enumeration import enumerate_paths, path_distribution
@@ -20,6 +23,7 @@ from pathlab.matroids import (
 )
 from pathlab.paths import Path, Region, contact_stats, parse_path
 from pathlab.polynomials import MultiPoly
+from pathlab.verify import all_regions
 
 SMALL = Region.from_steps("NNENEE", "ENEENN")
 U12 = uniform_oracle(1, 2)
@@ -61,6 +65,12 @@ def test_tutte_uniform():
     assert tutte_poly(uniform_oracle(2, 3), natural_order(3)) == MultiPoly(
         ("x", "y"), {(2, 0): 1, (1, 0): 1, (0, 1): 1}
     )
+
+
+def test_tutte_rejects_order_of_another_ground_set():
+    for ranking in ((1, 2), tuple(range(1, 8))):
+        with pytest.raises(ValueError):
+            tutte_poly(lpm_oracle(SMALL), LinearOrder(ranking))
 
 
 def test_tutte_matches_contact_distributions():
@@ -141,3 +151,36 @@ def test_bltr_single_path():
         image = bltr_single_path(SMALL, p)
         ist = contact_stats(SMALL, image)
         assert (ist.t, ist.r) == (st.b, st.l)
+
+
+def bases_by_filter(oracle):
+    """Every rank-sized subset that passes the oracle's base test, in
+    lexicographic order: the listing that does not enumerate paths."""
+    ground = range(1, oracle.ground_size + 1)
+    return [frozenset(c) for c in combinations(ground, oracle.rank) if oracle.is_base(frozenset(c))]
+
+
+def tutte_by_activities(oracle, order):
+    """The activity polynomial summed base by base through ``is_active``."""
+    terms = {}
+    for base in bases_by_filter(oracle):
+        pair = activities(oracle, base, order)
+        terms[pair] = terms.get(pair, 0) + 1
+    return MultiPoly(("x", "y"), terms)
+
+
+def test_lpm_bases_match_subset_filter():
+    for region in all_regions(6):
+        oracle = lpm_oracle(region)
+        assert oracle.bases() == bases_by_filter(oracle), region
+
+
+def test_tutte_poly_matches_per_base_activities():
+    oracles = [lpm_oracle(region) for region in all_regions(5)]
+    oracles += [uniform_oracle(r, m) for m in range(0, 6) for r in range(0, m + 1)]
+    for oracle in oracles:
+        m = oracle.ground_size
+        shuffled = list(range(1, m + 1))
+        random.Random(m).shuffle(shuffled)
+        for order in (natural_order(m), reversed_order(m), LinearOrder(tuple(shuffled))):
+            assert tutte_poly(oracle, order) == tutte_by_activities(oracle, order), (oracle, order)

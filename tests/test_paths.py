@@ -14,7 +14,6 @@ from pathlab.paths import (
     north_index_set,
     parse_path,
     path_from_north_set,
-    region_new,
 )
 
 # a wide region reused by several pinned examples
@@ -82,7 +81,30 @@ def test_degenerate_region():
 
 def test_region_dominance_error():
     with pytest.raises(RegionError):
-        region_new(parse_path("ENNE"), parse_path("NNEE"))
+        Region(parse_path("ENNE"), parse_path("NNEE"))
+
+
+def test_region_parse_reads_labels_in_either_order():
+    r = Region.from_steps("NNEE", "ENEN")
+    assert Region.parse("T=NNEE;B=ENEN") == r
+    assert Region.parse("B=ENEN;T=NNEE") == r
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Q=NNEE;Z=ENEN",  # unknown labels
+        "T=NNEE;Z=ENEN",
+        "T=NNEE;B=ENEN;Q=ENEN",
+        "T=NNEE",  # missing label
+        "T=NNEE;T=NNEE",  # duplicated label
+        "T=NNEE;B=ENEN;B=ENEN",
+        "NNEE;ENEN",  # no labels
+    ],
+)
+def test_region_parse_rejects_bad_labels(text):
+    with pytest.raises(RegionError):
+        Region.parse(text)
 
 
 def test_region_endpoint_error():
