@@ -2,6 +2,7 @@
 
 from .paths import (
     ContactStats,
+    InvariantError,
     Path,
     PathError,
     Region,

@@ -53,7 +53,7 @@ from .paths import (
     parse_path,
 )
 from .swaps import swapall
-from .tableaux import Tableau, psi, psi_inv, tab_of_tuple, flagged_schur, YoungShape
+from .tableaux import Tableau, YoungShape, flagged_schur, is_flagged_ssyt, psi, psi_inv, tab_of_tuple
 from .triangulations import (
     catalan_det,
     degree_sequence,
@@ -91,19 +91,29 @@ def _path_json(p: Path) -> dict:
 
 
 def _parse_tableau(text: str, k: int) -> Tableau:
+    """A flagged semistandard tableau, or a usage error."""
     rows = []
-    for chunk in text.split("/"):
-        chunk = chunk.strip()
-        if any(sep in chunk for sep in (",", " ")):
-            rows.append(tuple(int(v) for v in chunk.replace(",", " ").split()))
-        else:
-            rows.append(tuple(int(ch) for ch in chunk))
-    return Tableau(tuple(rows), k)
+    try:
+        for chunk in text.split("/"):
+            chunk = chunk.strip()
+            if any(sep in chunk for sep in (",", " ")):
+                rows.append(tuple(int(v) for v in chunk.replace(",", " ").split()))
+            else:
+                rows.append(tuple(int(ch) for ch in chunk))
+        tab = Tableau(tuple(rows), k)
+    except ValueError as exc:
+        raise SystemExit2(f"malformed tableau {text!r}: {exc}") from None
+    if not is_flagged_ssyt(tab):
+        raise SystemExit2(f"{text!r} is not a flagged semistandard tableau for k={k}")
+    return tab
 
 
 def _parse_paths_arg(region: Region, text: str) -> PathTuple:
     paths = tuple(parse_path(chunk) for chunk in text.split(";") if chunk)
-    return PathTuple(region, paths)
+    try:
+        return PathTuple(region, paths)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
 
 
 def cmd_enumerate(args) -> int:
@@ -118,6 +128,8 @@ def cmd_enumerate(args) -> int:
         if args.heights is not None
         else None
     )
+    if args.k < 0:
+        raise SystemExit2("--k must be at least 1, or 0 to list paths")
     if args.k:
         items = [
             ";".join(str(p) for p in t.paths) for t in enumerate_tuples(region, args.k)
@@ -213,7 +225,13 @@ def _order_from(text: str, m: int) -> LinearOrder:
     if text == "reversed":
         return reversed_order(m)
     if text.startswith("perm:"):
-        return LinearOrder(tuple(int(v) for v in text[5:].split(",")))
+        try:
+            order = LinearOrder(tuple(int(v) for v in text[5:].split(",")))
+        except ValueError as exc:
+            raise SystemExit2(f"bad ranking {text[5:]!r}: {exc}") from None
+        if len(order.ranking) != m:
+            raise SystemExit2(f"ranking must order all {m} ground elements")
+        return order
     raise SystemExit2("order must be natural, reversed, or perm:<ranking>")
 
 
@@ -231,8 +249,15 @@ def cmd_activities(args) -> int:
     oracle = lpm_oracle(region)
     if args.path:
         base = north_index_set(parse_path(args.path))
+    elif args.base:
+        try:
+            base = frozenset(int(v) for v in args.base.split(","))
+        except ValueError:
+            raise SystemExit2(f"base must be comma-separated integers, not {args.base!r}") from None
     else:
-        base = frozenset(int(v) for v in args.base.split(","))
+        raise SystemExit2("need --base or --path")
+    if not oracle.is_base(base):
+        raise SystemExit2(f"{sorted(base)} is not a base of the region's path matroid")
     internal, external = active_elements(oracle, base, order)
     payload = {
         "internal": sorted(internal),
@@ -252,6 +277,8 @@ def cmd_activities(args) -> int:
 def cmd_ktuple_dist(args) -> int:
     region = _region_from(args)
     k = args.k
+    if k < 1:
+        raise SystemExit2("--k must be at least 1")
     stats = []
     if args.stats == "h":
         stats = [(f"x{i}", lambda t, i=i: h_stats(t)[i]) for i in range(k + 1)]

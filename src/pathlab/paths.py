@@ -22,6 +22,11 @@ class RegionError(ValueError):
     """Raised when two boundary paths do not bound a region."""
 
 
+class InvariantError(AssertionError):
+    """Raised when an invariant a theorem guarantees fails to hold.  Unlike a
+    bare ``assert`` it survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class Path:
     """A lattice path encoded by the heights of its east steps.

@@ -5,13 +5,17 @@ The bijection starts from a direct cell-filling of a tuple and repairs its
 ordering defects one local move at a time; the moves are invertible, so the
 whole pipeline is too.  Entries at most k+1 are called small, larger ones
 large; a large entry equal to k+r in row r is maximal.
+
+Both repairs run on mutable rows with one violation scan per move and
+freeze to a Tableau only at the API boundary; check=True runs them on
+frozen tableaux instead, as the oracle that checks each move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import Path, Region
+from .paths import InvariantError, Path, Region
 from .polynomials import MultiPoly, h_complete, poly_determinant
 from .tuples import PathTuple, h_stats, u_stats
 
@@ -87,12 +91,6 @@ class Tableau:
         if 1 <= r <= len(self.rows) and 1 <= c <= len(self.rows[r - 1]):
             return self.rows[r - 1][c - 1]
         return None
-
-    def with_entries(self, changes: dict[Cell, int]) -> "Tableau":
-        rows = [list(r) for r in self.rows]
-        for (r, c), v in changes.items():
-            rows[r - 1][c - 1] = v
-        return Tableau(tuple(tuple(r) for r in rows), self.k)
 
     def is_small(self, e: int) -> bool:
         return e <= self.k + 1
@@ -214,6 +212,61 @@ class Violations:
     maximal: Cell | None
 
 
+def _violations(rows, k: int) -> tuple[list[Cell], list[Cell]]:
+    """Semistandard and path violations of a filling given as rows of
+    entries (lists or tuples), each in row-major order.  This one scan
+    serves find_violations and both repair loops."""
+    small = k + 1
+    ssv: list[Cell] = []
+    pv: list[Cell] = []
+    above = ()
+    last = len(rows) - 1
+    for i, row in enumerate(rows):
+        r = i + 1
+        below = rows[r] if i < last else ()
+        n_below = len(below)
+        n_right = len(row) - 1
+        maximal_below = small + r
+        for j, e in enumerate(row):
+            if (i and above[j] >= e) or (j and row[j - 1] > e):
+                ssv.append((r, j + 1))
+            if e > small:
+                continue
+            if j < n_below:
+                f = below[j]
+                if f > small and f != maximal_below:
+                    pv.append((r, j + 1))
+                    continue
+            if j < n_right and row[j + 1] > small:
+                # every small entry above the large right neighbour is below e
+                for upper in rows[:i]:
+                    v = upper[j + 1]
+                    if e <= v <= small:
+                        break
+                else:
+                    pv.append((r, j + 1))
+        above = row
+    return ssv, pv
+
+
+def _select(rows, cells: list[Cell], sign: int, what: str) -> Cell | None:
+    """The cell of least (entry, column) for sign 1, of greatest for sign
+    -1; the moves are defined only when it is unique."""
+    best = None
+    best_key = None
+    ties = 0
+    for cell in cells:
+        r, c = cell
+        key = (sign * rows[r - 1][c - 1], sign * c)
+        if best is None or key < best_key:
+            best, best_key, ties = cell, key, 1
+        elif key == best_key:
+            ties += 1
+    if ties > 1:
+        raise InvariantError(f"{what} must be unique")
+    return best
+
+
 def find_violations(t: Tableau) -> Violations:
     """Cells breaking the semistandard order, and cells whose neighbourhood
     betrays a misplaced large entry.
@@ -222,41 +275,46 @@ def find_violations(t: Tableau) -> Violations:
     by the leftmost column; the maximal path violation has the largest
     entry, ties broken by the rightmost column.
     """
-    ssv = []
-    pv = []
-    for r, row in enumerate(t.rows, start=1):
-        for c, e in enumerate(row, start=1):
-            above = t.entry(r - 1, c)
-            left = t.entry(r, c - 1)
-            if (above is not None and above >= e) or (left is not None and left > e):
-                ssv.append((r, c))
-            if t.is_small(e):
-                below = t.entry(r + 1, c)
-                if below is not None and not t.is_small(below) and not t.is_maximal(r + 1, below):
-                    pv.append((r, c))
-                    continue
-                right = t.entry(r, c + 1)
-                if right is not None and not t.is_small(right):
-                    column_smalls = [
-                        t.rows[rr - 1][c]
-                        for rr in range(1, r + 1)
-                        if t.is_small(t.rows[rr - 1][c])
-                    ]
-                    if all(v < e for v in column_smalls):
-                        pv.append((r, c))
+    rows = t.rows
+    ssv, pv = _violations(rows, t.k)
+    return Violations(
+        tuple(ssv),
+        _select(rows, ssv, 1, "minimal semistandard violation"),
+        tuple(pv),
+        _select(rows, pv, -1, "maximal path violation"),
+    )
 
-    def entry_at(cell: Cell) -> int:
-        return t.rows[cell[0] - 1][cell[1] - 1]
 
-    minimal = min(ssv, key=lambda cell: (entry_at(cell), cell[1]), default=None)
-    maximal = max(pv, key=lambda cell: (entry_at(cell), cell[1]), default=None)
-    if minimal is not None:
-        ties = [c for c in ssv if entry_at(c) == entry_at(minimal) and c[1] == minimal[1]]
-        assert len(ties) == 1, "minimal semistandard violation must be unique"
-    if maximal is not None:
-        ties = [c for c in pv if entry_at(c) == entry_at(maximal) and c[1] == maximal[1]]
-        assert len(ties) == 1, "maximal path violation must be unique"
-    return Violations(tuple(ssv), minimal, tuple(pv), maximal)
+def _j_step(rows: list[list[int]], r: int, c: int) -> None:
+    """The j-move in place at the minimal semistandard violation (r, c)."""
+    row = rows[r - 1]
+    e = row[c - 1]
+    e_a = rows[r - 2][c - 1] if r > 1 else 0
+    e_l = row[c - 2] if c > 1 else 0
+    if e_l > e_a:
+        row[c - 2], row[c - 1] = e, e_l
+    else:
+        rows[r - 2][c - 1], row[c - 1] = e, e_a
+
+
+def _j_inv_step(rows: list[list[int]], r: int, c: int, k: int) -> int:
+    """The inverse move in place at the maximal path violation (r, c).
+    Returns the change of potential: swapping the small entry f with its
+    larger neighbour g, below or to the right, changes it by f - g."""
+    small = k + 1
+    row = rows[r - 1]
+    f = row[c - 1]
+    f_b = rows[r][c - 1] if r < len(rows) and c <= len(rows[r]) else None
+    f_r = row[c] if c < len(row) else None
+    b_large = f_b is not None and f_b > small
+    r_large = f_r is not None and f_r > small
+    if b_large and (not r_large or f_b <= f_r):
+        rows[r][c - 1], row[c - 1] = f, f_b
+        return f - f_b
+    if r_large:
+        row[c], row[c - 1] = f, f_r
+        return f - f_r
+    raise InvariantError("path violation without a large neighbour")
 
 
 def j_move(t: Tableau) -> Tableau:
@@ -265,13 +323,9 @@ def j_move(t: Tableau) -> Tableau:
     v = find_violations(t)
     if v.minimal is None:
         raise ValueError("no semistandard violation to correct")
-    r, c = v.minimal
-    e = t.rows[r - 1][c - 1]
-    e_a = t.entry(r - 1, c) or 0
-    e_l = t.entry(r, c - 1) or 0
-    if e_l > e_a:
-        return t.with_entries({(r, c): e_l, (r, c - 1): e})
-    return t.with_entries({(r, c): e_a, (r - 1, c): e})
+    rows = [list(row) for row in t.rows]
+    _j_step(rows, *v.minimal)
+    return Tableau(rows, t.k)
 
 
 def j_inv_move(t: Tableau) -> Tableau:
@@ -280,17 +334,9 @@ def j_inv_move(t: Tableau) -> Tableau:
     v = find_violations(t)
     if v.maximal is None:
         raise ValueError("no path violation to correct")
-    r, c = v.maximal
-    f = t.rows[r - 1][c - 1]
-    f_b = t.entry(r + 1, c)
-    f_r = t.entry(r, c + 1)
-    b_large = f_b is not None and not t.is_small(f_b)
-    r_large = f_r is not None and not t.is_small(f_r)
-    if b_large and (not r_large or f_b <= f_r):
-        return t.with_entries({(r, c): f_b, (r + 1, c): f})
-    if r_large:
-        return t.with_entries({(r, c): f_r, (r, c + 1): f})
-    raise AssertionError("path violation without a large neighbour")
+    rows = [list(row) for row in t.rows]
+    _j_inv_step(rows, *v.maximal, t.k)
+    return Tableau(rows, t.k)
 
 
 def tab_of_tuple(pt: PathTuple) -> Tableau:
@@ -320,29 +366,31 @@ def tab_of_tuple(pt: PathTuple) -> Tableau:
 def tuple_of_tab(t: Tableau) -> PathTuple:
     """Inverse of the direct filling; defined on tableaux without path
     violations."""
-    v = find_violations(t)
-    if v.path:
+    if find_violations(t).path:
         raise ValueError("tableau has path violations")
-    shape = t.shape
-    region = region_of_shape(shape)
-    y, k = region.y, t.k
-    x = region.x
+    return _tuple_of_rows(t.rows, t.k)
+
+
+def _tuple_of_rows(rows, k: int) -> PathTuple:
+    """tuple_of_tab on rows of entries already known to have no path
+    violation: in each column the small entries, top down, say where the
+    paths they index cross that column."""
+    region = region_of_shape(YoungShape(tuple(len(row) for row in rows)))
+    y, x = region.y, region.x
+    small = k + 1
+    b_heights = region.b_heights
     heights = [[0] * x for _ in range(k)]
-    for c in range(1, x + 1):
-        smalls = [
-            (t.rows[r - 1][c - 1], r)
-            for r in range(1, len(t.rows) + 1)
-            if c <= len(t.rows[r - 1]) and t.is_small(t.rows[r - 1][c - 1])
-        ]
+    for c in range(x):
         boundary = 1
-        for e, r in smalls:
-            for p in range(boundary, e):
-                heights[p - 1][c - 1] = y - r + 1
-            boundary = max(boundary, e)
+        for i, row in enumerate(rows):
+            if c < len(row) and row[c] <= small:
+                e = row[c]
+                for p in range(boundary, e):
+                    heights[p - 1][c] = y - i
+                boundary = max(boundary, e)
         for p in range(boundary, k + 1):
-            heights[p - 1][c - 1] = region.b_heights[c - 1]
-    paths = tuple(Path(tuple(h), y) for h in heights)
-    return PathTuple(region, paths)
+            heights[p - 1][c] = b_heights[c]
+    return PathTuple(region, tuple(Path(tuple(h), y) for h in heights))
 
 
 def expected_weight(pt: PathTuple) -> tuple[int, ...]:
@@ -354,20 +402,35 @@ def expected_weight(pt: PathTuple) -> tuple[int, ...]:
 
 def psi(pt: PathTuple, check: bool = False) -> Tableau:
     """Repair the direct filling into a flagged semistandard tableau by
-    repeated local moves; weight is preserved throughout."""
+    repeated j-moves at the minimal semistandard violation; weight is
+    preserved throughout.
+
+    The repair scans once per move on mutable rows and freezes them to a
+    Tableau only when done.  With check=True it runs the oracle instead,
+    which makes each move on frozen tableaux and checks what the paper
+    claims about it.
+    """
     t = tab_of_tuple(pt)
     w = weight(t)
-    while True:
-        v = find_violations(t)
-        if v.minimal is None:
-            break
-        if check:
-            t = _checked_j_move(t, v)
-        else:
-            t = j_move(t)
-    assert weight(t) == w
     if check:
-        assert is_flagged_ssyt(t)
+        while True:
+            v = find_violations(t)
+            if v.minimal is None:
+                break
+            t = _checked_j_move(t, v)
+    else:
+        k = t.k
+        rows = [list(row) for row in t.rows]
+        while True:
+            ssv, _ = _violations(rows, k)
+            if not ssv:
+                break
+            _j_step(rows, *_select(rows, ssv, 1, "minimal semistandard violation"))
+        t = Tableau(rows, k)
+    if weight(t) != w:
+        raise InvariantError("psi changed the weight")
+    if check and not is_flagged_ssyt(t):
+        raise InvariantError("psi image is not a flagged semistandard tableau")
     return t
 
 
@@ -388,29 +451,51 @@ def _checked_j_move(t: Tableau, v: Violations) -> Tableau:
         for cell in ((r - 1, c), (r, c - 1))
         if new.entry(*cell) == e and t.entry(*cell) != e
     )
-    assert potential(new) > potential(t)
-    assert not perflagged_violations(new)
+    if potential(new) <= potential(t):
+        raise InvariantError("j-move must raise the potential")
+    if perflagged_violations(new):
+        raise InvariantError("j-move left the perflagged tableaux")
     after_v = find_violations(new)
-    assert pv_at_least(new, e) - before == {moved_to}
-    assert after_v.maximal == moved_to
+    if pv_at_least(new, e) - before != {moved_to}:
+        raise InvariantError("j-move must add exactly one path violation of entry >= e")
+    if after_v.maximal != moved_to:
+        raise InvariantError("j-move must leave the moved entry as the maximal path violation")
     return new
 
 
 def psi_inv(t: Tableau, check: bool = False) -> PathTuple:
-    """Inverse repair: undo local moves until the direct filling reappears,
-    then read the paths off its columns."""
+    """Inverse repair: undo local moves at the maximal path violation until
+    the direct filling reappears, then read the paths off its columns.
+
+    Like psi, it scans once per move on mutable rows, and each move must
+    lower the potential; check=True runs the oracle instead, on frozen
+    tableaux, recomputing the potential and checking every step stays
+    perflagged.
+    """
+    k = t.k
     cells = sum(len(r) for r in t.rows)
-    cap = (len(t.rows) + t.shape.width) * (t.k + len(t.rows)) * max(cells, 1)
-    for _ in range(cap + 1):
-        v = find_violations(t)
-        if v.maximal is None:
-            return tuple_of_tab(t)
-        new = j_inv_move(t)
-        assert potential(new) < potential(t)
-        if check:
-            assert not perflagged_violations(new)
-        t = new
-    raise AssertionError("inverse move iteration exceeded its bound")
+    cap = (len(t.rows) + t.shape.width) * (k + len(t.rows)) * max(cells, 1)
+    if check:
+        for _ in range(cap + 1):
+            v = find_violations(t)
+            if v.maximal is None:
+                return tuple_of_tab(t)
+            new = j_inv_move(t)
+            if potential(new) >= potential(t):
+                raise InvariantError("inverse move must lower the potential")
+            if perflagged_violations(new):
+                raise InvariantError("inverse move left the perflagged tableaux")
+            t = new
+    else:
+        rows = [list(row) for row in t.rows]
+        for _ in range(cap + 1):
+            _, pv = _violations(rows, k)
+            if not pv:
+                return _tuple_of_rows(rows, k)
+            r, c = _select(rows, pv, -1, "maximal path violation")
+            if _j_inv_step(rows, r, c, k) >= 0:
+                raise InvariantError("inverse move must lower the potential")
+    raise InvariantError("inverse move iteration exceeded its bound")
 
 
 def easy_bijection(pt: PathTuple) -> Tableau:

@@ -21,7 +21,6 @@ from .applications import (
     conjecture_52_check,
     conjecture_53_check,
     contact_formula_count,
-    direct_contact_count,
     dyck_region,
     path_of_perm,
     perm_of_path,
@@ -454,9 +453,10 @@ def check_closed_formulas(max_total: int = 7) -> VerifyResult:
                 if andre_barbier_count(1, (n, r, s)) != brute:
                     return VerifyResult(name, False, "case 1 count", f"n={n} r={r} s={s}")
                 if r > 0:
+                    counts = path_distribution(region, ["t", "b"]).terms
                     for c in range(0, region.x + 2):
                         for i in range(0, c + 1):
-                            expected = direct_contact_count(region, i, c - i)
+                            expected = counts.get((i, c - i), 0)
                             got = contact_formula_count(1, (n, r, s), i, c - i)
                             if got != expected:
                                 return VerifyResult(
@@ -470,9 +470,10 @@ def check_closed_formulas(max_total: int = 7) -> VerifyResult:
                 if andre_barbier_count(2, (n, r, k)) != brute:
                     return VerifyResult(name, False, "case 2 count", f"n={n} r={r} k={k}")
                 if r > 0:
+                    counts = path_distribution(region, ["t", "b"]).terms
                     for c in range(0, region.x + 2):
                         for i in range(0, c + 1):
-                            expected = direct_contact_count(region, i, c - i)
+                            expected = counts.get((i, c - i), 0)
                             got = contact_formula_count(2, (n, r, k), i, c - i)
                             if got != expected:
                                 return VerifyResult(

@@ -166,3 +166,25 @@ def test_unknown_stat_is_usage_error(capsys):
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert message.startswith("error:") and message.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--T", "NNEE", "--B", "ENEN", "--paths", "EENN"],  # leaves the region
+        ["psi-inv", "--tableau", "21", "--k", "1"],  # row decreases
+        ["psi-inv", "--tableau", "13/24", "--k", "1"],  # 3 breaks the row-1 flag bound
+        ["psi-inv", "--tableau", "1x", "--k", "1"],  # not an integer
+        ["activities", "--T", "NNEE", "--B", "ENEN", "--base", "1,9"],  # not a base
+        ["activities", "--T", "NNEE", "--B", "ENEN", "--order", "perm:1,2", "--base", "1,2"],
+        ["activities", "--T", "NNEE", "--B", "ENEN"],  # neither --base nor --path
+        ["ktuple-dist", "--T", "NNEE", "--B", "ENEN", "--k", "0", "--stats", "h"],
+        ["enumerate", "--T", "NNEE", "--B", "ENEN", "--k", "-1"],
+    ],
+)
+def test_bad_verb_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and message.count("\n") == 1

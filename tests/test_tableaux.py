@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path as FilePath
+
 import pytest
 
 from pathlab.enumeration import enumerate_tuples
@@ -5,6 +11,7 @@ from pathlab.paths import Path, Region
 from pathlab.polynomials import MultiPoly
 from pathlab.tableaux import (
     Tableau,
+    _violations,
     YoungShape,
     easy_bijection,
     enumerate_flagged_ssyt,
@@ -238,3 +245,111 @@ def test_bijection_handles_empty_bottom_rows():
         assert psi_inv(tab, check=True) == t
         images.add(tab)
     assert len(images) == len(tuples) == len(set(enumerate_flagged_ssyt(shape, 2)))
+
+
+def violations_by_definition(t: Tableau) -> tuple[list, list]:
+    """The semistandard and path violations read off the definition, one
+    Tableau.entry lookup at a time: the reference for the scan kernel."""
+    ssv, pv = [], []
+    for r, row in enumerate(t.rows, start=1):
+        for c, e in enumerate(row, start=1):
+            above = t.entry(r - 1, c)
+            left = t.entry(r, c - 1)
+            if (above is not None and above >= e) or (left is not None and left > e):
+                ssv.append((r, c))
+            if t.is_small(e):
+                below = t.entry(r + 1, c)
+                if below is not None and not t.is_small(below) and not t.is_maximal(r + 1, below):
+                    pv.append((r, c))
+                    continue
+                right = t.entry(r, c + 1)
+                if right is not None and not t.is_small(right):
+                    column_smalls = [
+                        t.rows[rr - 1][c]
+                        for rr in range(1, r + 1)
+                        if t.is_small(t.rows[rr - 1][c])
+                    ]
+                    if all(v < e for v in column_smalls):
+                        pv.append((r, c))
+    return ssv, pv
+
+
+def assert_scan_matches_definition(t: Tableau):
+    assert _violations([list(row) for row in t.rows], t.k) == violations_by_definition(t), t
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_scan_matches_definition_on_every_small_filling(k):
+    # arbitrary fillings reach cases no repair visits, such as equal
+    # entries in a column
+    for shape in shapes_in_box(3):
+        cells = sum(shape.parts)
+        if cells > 5:
+            continue
+        for values in product(range(1, k + shape.rows + 1), repeat=cells):
+            it = iter(values)
+            rows = tuple(tuple(next(it) for _ in range(p)) for p in shape.parts)
+            assert_scan_matches_definition(Tableau(rows, k))
+
+
+DIFFERENTIAL_SWEEP = [(3, k) for k in (1, 2, 3)] + [(4, k) for k in (1, 2)]
+
+
+@pytest.mark.parametrize("box,k", DIFFERENTIAL_SWEEP)
+def test_repairs_match_oracle_and_definition(box, k):
+    for shape in shapes_in_box(box):
+        for t in enumerate_tuples(region_of_shape(shape), k):
+            tab = psi(t)
+            assert tab == psi(t, check=True)
+            assert psi_inv(tab) == psi_inv(tab, check=True) == t
+            # every tableau both repairs pass through, in either direction
+            step = tab_of_tuple(t)
+            while True:
+                assert_scan_matches_definition(step)
+                if find_violations(step).minimal is None:
+                    break
+                step = j_move(step)
+            assert step == tab
+            while True:
+                assert_scan_matches_definition(step)
+                if find_violations(step).maximal is None:
+                    break
+                step = j_inv_move(step)
+            assert step == tab_of_tuple(t)
+
+
+OPTIMIZED_CHECK = """
+import itertools, sys
+from pathlab import InvariantError, tableaux
+from pathlab.enumeration import enumerate_tuples
+from pathlab.verify import check_tableau_bijection
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+result = check_tableau_bijection(2, 2)
+if not result.ok:
+    sys.exit(result.line())
+exact = tableaux.weight
+shifts = itertools.count()
+tableaux.weight = lambda t: tuple(v + next(shifts) for v in exact(t))
+pt = next(enumerate_tuples(tableaux.region_of_shape(tableaux.YoungShape((2, 1))), 1))
+try:
+    tableaux.psi(pt)
+except InvariantError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("psi accepted a changed weight")
+"""
+
+
+def test_tableau_checks_survive_optimized_mode():
+    src = str(FilePath(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: psi changed the weight")
