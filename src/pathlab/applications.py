@@ -9,7 +9,7 @@ from itertools import product
 from math import comb
 
 from .enumeration import enumerate_paths, path_distribution
-from .paths import Path, Region, contact_stats, vertices
+from .paths import InvariantError, Path, Region, contact_stats, vertices
 from .swaps import contact_word
 from .tuples import PathTuple
 
@@ -76,7 +76,8 @@ def corollary_ij_check(region: Region) -> IJReport:
     else:
         cond_boundary = region.b_heights[-1] < region.t_heights[0]
     report = IJReport(cond_counts, cond_order, cond_boundary)
-    assert report.agree, f"conditions disagree on {region}"
+    if not report.agree:
+        raise InvariantError(f"conditions disagree on {region}")
     return report
 
 
@@ -97,15 +98,8 @@ def easy_bottom_count(region: Region, i: int, j: int) -> int:
     bounds = region.b_heights[:width]
     if any(b > y - 2 for b in bounds):
         return 0
-
-    def count(col: int, prev: int) -> int:
-        if col == width:
-            return 1
-        return sum(
-            count(col + 1, h) for h in range(max(prev, bounds[col]), y - 1)
-        )
-
-    return count(0, 0)
+    smaller = Region(Path((y - 2,) * width, y - 2), Path(bounds, y - 2))
+    return sum(1 for _ in enumerate_paths(smaller))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,8 @@ def andre_barbier_count(case: int, params: tuple[int, ...]) -> int:
     if case == 2:
         n, r, k = params
         num = (r + 1) * binom(r + (n + 1) * (k + 1), n)
-        assert num % (n + 1) == 0
+        if num % (n + 1):
+            raise InvariantError(f"case 2 count {num}/{n + 1} is not an integer")
         return num // (n + 1)
     raise ValueError("case must be 1 or 2")
 
@@ -157,7 +152,8 @@ def contact_formula_count(case: int, params: tuple[int, ...], i: int, j: int) ->
         if c == n + 1:
             return 1
         num = (k * c + r - 1) * binom(r - c - 2 + (n + 1) * (k + 1), n - c)
-        assert num % (n - c + 1) == 0
+        if num % (n - c + 1):
+            raise InvariantError(f"case 2 contact count {num}/{n - c + 1} is not an integer")
         return num // (n - c + 1)
     raise ValueError("case must be 1 or 2")
 

@@ -2,9 +2,10 @@
 batch verification sweeps.
 
 Exit codes: 0 on success or a verified sweep, 1 when a check finds a
-counterexample, 2 on usage errors, malformed path or region text included.
-Output is deterministic for fixed arguments; set PATHLAB_THREADS to bound
-any internal parallelism.
+counterexample, 2 on usage errors: any argument a verb rejects, malformed
+path, region, word or tableau text included.  Stdout is byte-deterministic
+for fixed arguments; ``verify`` and ``check-conjectures`` write the wall time
+of each sweep to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .applications import (
     IJReport,
@@ -44,10 +46,9 @@ from .matroids import (
     tutte_poly,
 )
 from .paths import (
+    InvariantError,
     Path,
-    PathError,
     Region,
-    RegionError,
     contact_stats,
     descent_set,
     parse_path,
@@ -61,8 +62,8 @@ from .triangulations import (
     nicolas_check,
 )
 from .tuples import PathTuple, h_stats, u_stats, v_stats
-from .verify import SUITES, run_suites
-from .words import switch, switch_inv
+from .verify import SUITES
+from .words import factorize, switch, switch_inv
 
 
 def _region_from(args) -> Region:
@@ -79,11 +80,20 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _add_region_args(sub):
+def _add_region_args(sub, with_format: bool = True):
     sub.add_argument("--region", help="region text T=<steps>;B=<steps>")
     sub.add_argument("--T", help="top boundary step string")
     sub.add_argument("--B", help="bottom boundary step string")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    if with_format:
+        sub.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _timed(label: str, run):
+    """``run()``, with its wall time written to stderr as ``<label>: <seconds>s``."""
+    start = time.perf_counter()
+    result = run()
+    print(f"{label}: {time.perf_counter() - start:.2f}s", file=sys.stderr)
+    return result
 
 
 def _path_json(p: Path) -> dict:
@@ -186,7 +196,12 @@ def cmd_swapall(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    print(switch_inv(args.word) if args.inverse else switch(args.word))
+    factorize(args.word)  # letters outside {t, b} are a usage error
+    try:
+        print(switch_inv(args.word) if args.inverse else switch(args.word))
+    except ValueError as exc:  # no unmatched letter to flip: the word has no image
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -297,7 +312,9 @@ def cmd_ktuple_dist(args) -> int:
 
 
 def cmd_perm(args) -> int:
-    if args.to_path:
+    if (args.to_path is None) == (args.from_path is None):
+        raise SystemExit2("need exactly one of --to-path and --from-path")
+    if args.to_path is not None:
         perm = tuple(
             int(v) for v in (args.to_path.split(",") if "," in args.to_path else args.to_path)
         )
@@ -309,7 +326,7 @@ def cmd_perm(args) -> int:
         path = parse_path(args.from_path)
         perm = perm_of_path(path)
         rl_min, rl_max, positions = perm_stats(perm)
-        print("".join(str(v) for v in perm) if max(perm) <= 9 else ",".join(map(str, perm)))
+        print("".join(str(v) for v in perm) if max(perm, default=0) <= 9 else ",".join(map(str, perm)))
     print(f"rl-minima {rl_min} rl-maxima {rl_max} pattern-positions {sorted(positions)}")
     return 0
 
@@ -322,7 +339,8 @@ def cmd_watermelon(args) -> int:
         )
     )
     pt = watermelon_to_tuple(melon)
-    assert tuple_to_watermelon(pt) == melon
+    if tuple_to_watermelon(pt) != melon:
+        raise InvariantError("the tuple does not map back to the configuration")
     print(str(pt.region))
     print(";".join(str(p) for p in pt.paths))
     print(
@@ -332,10 +350,17 @@ def cmd_watermelon(args) -> int:
     return 0
 
 
+def _naturals(text: str, count: int, option: str) -> tuple[int, ...]:
+    values = tuple(int(v) for v in text.split(","))
+    if len(values) != count or min(values) < 0:
+        raise SystemExit2(f"{option} takes {count} comma-separated natural numbers")
+    return values
+
+
 def cmd_count_ab(args) -> int:
-    params = tuple(int(v) for v in args.params.split(","))
+    params = _naturals(args.params, 3, "--params")
     if args.contacts:
-        i, j = (int(v) for v in args.contacts.split(","))
+        i, j = _naturals(args.contacts, 2, "--contacts")
         print(contact_formula_count(args.case, params, i, j))
     else:
         print(andre_barbier_count(args.case, params))
@@ -357,7 +382,7 @@ def cmd_check_conjectures(args) -> int:
     ok = True
     for label, checker in (("equivalences", conjecture_52_check), ("sum-dependence", conjecture_53_check)):
         for n in range(1, args.n + 1):
-            report = checker(n)
+            report = _timed(f"{label} n={n}", lambda: checker(n))
             status = "ok" if report.holds else f"COUNTEREXAMPLE {report.counterexample}"
             print(f"{label} n={n}: {report.regions_checked} regions, {status}")
             ok = ok and report.holds
@@ -393,10 +418,10 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             raise SystemExit2(f"unknown suite {name!r}; use --list")
-    results = run_suites(names, args.max)
     failed = False
-    for result in results:
-        print(result.line())
+    for name in names:
+        result = _timed(name, lambda: SUITES[name](args.max))
+        print(result.line(), flush=True)
         failed = failed or not result.ok
     return 1 if failed else 0
 
@@ -433,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_switch)
 
     p = sub.add_parser("psi", help="tuple of paths to flagged semistandard tableau")
-    _add_region_args(p)
+    _add_region_args(p, with_format=False)
     p.add_argument("--paths", required=True, help="semicolon-separated step strings, top first")
     p.set_defaults(func=cmd_psi)
 
@@ -443,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psi_inv)
 
     p = sub.add_parser("tab", help="direct cell filling of a tuple")
-    _add_region_args(p)
+    _add_region_args(p, with_format=False)
     p.add_argument("--paths", required=True)
     p.set_defaults(func=cmd_tab)
 
@@ -488,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_ab)
 
     p = sub.add_parser("check-cor-ij", help="three-way equivalence of contact-count conditions")
-    _add_region_args(p)
+    _add_region_args(p, with_format=False)
     p.set_defaults(func=cmd_check_cor_ij)
 
     p = sub.add_parser("check-conjectures", help="finite checks of the two open conjectures")
@@ -519,12 +544,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2:
-        raise
-    except (PathError, RegionError) as exc:
+    except ValueError as exc:  # the library rejected an argument: PathError, RegionError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError) as exc:
+    except AssertionError as exc:  # InvariantError: a checked theorem failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

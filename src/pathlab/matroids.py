@@ -14,6 +14,7 @@ from typing import Callable
 
 from .enumeration import enumerate_paths
 from .paths import (
+    InvariantError,
     Path,
     PathError,
     Region,
@@ -276,7 +277,8 @@ def reorder_bijection(
     for x, y in bubble_steps(from_order, to_order):
         cur_base = phi_xy(oracle, cur_order, x, y, cur_base)
         cur_order = cur_order.transpose_adjacent(x, y)
-    assert cur_order == to_order
+    if cur_order != to_order:
+        raise InvariantError("the bubble steps did not reach the target order")
     return cur_base
 
 

@@ -43,21 +43,16 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if set(self.variables) != set(other.variables):
-            return False
         if self.variables == other.variables:
             return self.terms == other.terms
-        reindex = [other.variables.index(v) for v in self.variables]
-        remapped = {}
-        for exp, coef in other.terms.items():
-            new = [0] * len(exp)
-            for mine, theirs in enumerate(reindex):
-                new[mine] = exp[theirs]
-            remapped[tuple(new)] = coef
-        return self.terms == remapped
+        if set(self.variables) != set(other.variables):
+            return False
+        return self.terms == other.with_variable_order(self.variables).terms
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # Equality aligns by variable name, so hash one canonical order.
+        canonical = self.with_variable_order(sorted(self.variables))
+        return hash((canonical.variables, frozenset(canonical.terms.items())))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         other = self._aligned(other)

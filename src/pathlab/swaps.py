@@ -7,7 +7,7 @@ set and the heights of the non-contact east steps.
 
 from __future__ import annotations
 
-from .paths import Path, Region, contains, descent_set, vertices
+from .paths import InvariantError, Path, Region, RegionError, contains, descent_set, vertices
 from .words import factorize, switch
 
 
@@ -29,7 +29,7 @@ def contact_letters(region: Region, path: Path) -> tuple[tuple[int, str], ...]:
 
 def contact_word(region: Region, path: Path) -> str:
     if not contains(region, path):
-        raise ValueError("path does not lie in the region")
+        raise RegionError("path does not lie in the region")
     return "".join(letter for _, letter in contact_letters(region, path))
 
 
@@ -67,12 +67,10 @@ def swap(region: Region, path: Path) -> Path:
     len_y = y_end - c_t
 
     contact_cols = {col for col, _ in letters}
-    assert not any(
-        j in contact_cols for j in range(x_start, c_t)
-    ), "block X may not contain contacts"
-    assert not any(
-        j in contact_cols for j in range(c_t + 1, y_end + 1)
-    ), "block Y may not contain contacts"
+    if any(j in contact_cols for j in range(x_start, c_t)):
+        raise InvariantError("block X may not contain contacts")
+    if any(j in contact_cols for j in range(c_t + 1, y_end + 1)):
+        raise InvariantError("block Y may not contain contacts")
 
     h_x = None if x_start == c_t else h[c_t - 2]
     h_y = None if len_y == 0 else h[c_t]
@@ -85,8 +83,10 @@ def swap(region: Region, path: Path) -> Path:
         b_col = x_start
         new = h[: x_start - 1] + (region.b_heights[x_start - 1],) + h[x_start - 1 : c_t - 1] + h[c_t:]
     image = Path(new, path.y)
-    assert contains(region, image)
-    assert contact_word(region, image) == switch(word)
+    if not contains(region, image):
+        raise InvariantError("swap left the region")
+    if contact_word(region, image) != switch(word):
+        raise InvariantError("swap did not switch the contact word")
     return image
 
 
@@ -119,8 +119,10 @@ def swap_inv(region: Region, path: Path) -> Path:
     len_u = u_end - c_b
 
     contact_cols = {col for col, _ in letters}
-    assert not any(j in contact_cols for j in range(s_start, c_b))
-    assert not any(j in contact_cols for j in range(c_b + 1, u_end + 1))
+    if any(j in contact_cols for j in range(s_start, c_b)):
+        raise InvariantError("block S may not contain contacts")
+    if any(j in contact_cols for j in range(c_b + 1, u_end + 1)):
+        raise InvariantError("block U may not contain contacts")
 
     h_s = None if len_s == 0 else h[c_b - 2]
     h_u = None if len_u == 0 else h[c_b]
@@ -133,7 +135,8 @@ def swap_inv(region: Region, path: Path) -> Path:
         t_col = c_b + len_u
         new = h[: c_b - 1] + h[c_b : c_b + len_u] + (region.t_heights[t_col - 1],) + h[c_b + len_u :]
     image = Path(new, path.y)
-    assert contains(region, image)
+    if not contains(region, image):
+        raise InvariantError("inverse swap left the region")
     return image
 
 
@@ -144,7 +147,7 @@ def swapall(region: Region, path: Path) -> Path:
     two counts; when the counts already agree it is the identity.
     """
     if not contains(region, path):
-        raise ValueError("path does not lie in the region")
+        raise RegionError("path does not lie in the region")
     t = sum(h == th for h, th in zip(path.heights, region.t_heights))
     b = sum(h == bh for h, bh in zip(path.heights, region.b_heights))
     image = path

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import Path, Region, contains, north_edges
+from .paths import InvariantError, Path, Region, contains, north_edges
 from .swaps import swapall
 
 
@@ -93,8 +93,10 @@ def transpose_h(t: PathTuple, i: int) -> PathTuple:
     local = _inner_region(t, i)
     image = _replace(t, i, swapall(local, t.paths[i - 1]))
     before, after = h_stats(t), h_stats(image)
-    assert after[i - 1] == before[i] and after[i] == before[i - 1]
-    assert u_stats(image) == u_stats(t)
+    if not (after[i - 1] == before[i] and after[i] == before[i - 1]):
+        raise InvariantError(f"transposition {i} did not exchange the coincidence counts")
+    if u_stats(image) != u_stats(t):
+        raise InvariantError(f"transposition {i} changed the unused-edge counts")
     return image
 
 
@@ -122,7 +124,8 @@ def apply_perm_h(t: PathTuple, perm) -> PathTuple:
                 break
         else:
             break
-    assert h_stats(image) == tuple(original[i] for i in perm)
+    if h_stats(image) != tuple(original[i] for i in perm):
+        raise InvariantError("composed transpositions did not permute the coincidence vector")
     return image
 
 
@@ -139,5 +142,6 @@ def bltr_tuple_bijection(t: PathTuple) -> PathTuple:
     for i in range(2, t.k + 1):
         local = _inner_region(image, i)
         image = _replace(image, i, bltr_single_path(local, image.paths[i - 1]))
-    assert h_stats(image)[0] == b_in and v_stats(image)[-1] == l_in
+    if not (h_stats(image)[0] == b_in and v_stats(image)[-1] == l_in):
+        raise InvariantError("the sweep did not carry (b, l) to (t, r)")
     return image

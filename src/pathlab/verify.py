@@ -8,9 +8,9 @@ functions at pinned bounds.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
 from typing import Callable, Iterator
 
 from .applications import (
@@ -82,13 +82,6 @@ class VerifyResult:
         return f"{status:4} {self.name}: {self.detail}{extra}"
 
 
-def threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("PATHLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def all_regions(max_semi: int) -> Iterator[Region]:
     """Every boundary pair with x + y at most the bound."""
     for total in range(0, max_semi + 1):
@@ -98,6 +91,15 @@ def all_regions(max_semi: int) -> Iterator[Region]:
                 for bottom in paths:
                     if all(t >= b for t, b in zip(top.heights, bottom.heights)):
                         yield Region(top, bottom)
+
+
+def _symmetric(dist: dict[tuple[int, ...], int]) -> bool:
+    """Whether every permutation of each exponent vector has its count."""
+    return all(
+        dist.get(tuple(exp[i] for i in perm), 0) == count
+        for exp, count in dist.items()
+        for perm in permutations(range(len(exp)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +175,8 @@ def check_contact_involution(max_semi: int = 8) -> VerifyResult:
         for key, data in class_data.items():
             if data["t1b0"] > 1 or data["t0b1"] > 1:
                 return VerifyResult(name, False, "extreme path not unique", f"{region} {key}")
-            for (a, b), count in data["dist"].items():
-                if data["dist"].get((b, a), 0) != count:
-                    return VerifyResult(name, False, "class distribution asymmetric", f"{region} {key}")
+            if not _symmetric(data["dist"]):
+                return VerifyResult(name, False, "class distribution asymmetric", f"{region} {key}")
     return VerifyResult(name, True, f"{paths} paths over {regions} regions (x+y <= {max_semi})")
 
 
@@ -195,11 +196,8 @@ def check_tuple_symmetry(max_semi: int = 6, max_k: int = 3) -> VerifyResult:
                 h = h_stats(t)
                 dist[h] = dist.get(h, 0) + 1
                 checked += 1
-            for dist in by_u.values():
-                for h, count in dist.items():
-                    for perm in permutations(range(len(h))):
-                        if dist.get(tuple(h[i] for i in perm), 0) != count:
-                            return VerifyResult(name, False, "h-distribution asymmetric", f"{region}")
+            if not all(_symmetric(dist) for dist in by_u.values()):
+                return VerifyResult(name, False, "h-distribution asymmetric", f"{region}")
     return VerifyResult(name, True, f"{checked} tuples (x+y <= {max_semi}, k <= {max_k})")
 
 
@@ -421,64 +419,34 @@ def check_permutation_bridge(max_n: int = 7) -> VerifyResult:
             dist[(rl_min, rl_max)] = dist.get((rl_min, rl_max), 0) + 1
             seen.add(perm)
             checked += 1
-        if len(seen) != _factorial(n):
+        if len(seen) != factorial(n):
             return VerifyResult(name, False, "not onto all permutations", f"n={n}")
-        for positions, dist in by_positions.items():
-            for (a, b), count in dist.items():
-                if dist.get((b, a), 0) != count:
-                    return VerifyResult(
-                        name, False, "class extreme distribution asymmetric", f"n={n}"
-                    )
+        if not all(_symmetric(dist) for dist in by_positions.values()):
+            return VerifyResult(name, False, "class extreme distribution asymmetric", f"n={n}")
     return VerifyResult(name, True, f"{checked} paths across n <= {max_n}")
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def check_closed_formulas(max_total: int = 7) -> VerifyResult:
     """Closed counting formulas against brute-force enumeration, including
     the contact-refined versions."""
     name = "closed-formulas"
-    for n in range(0, max_total + 1):
-        for r in range(0, max_total - n + 1):
-            for s in range(0, max_total - n - r + 1):
-                if n + r + s > max_total:
-                    continue
-                region = case1_region(n, r, s)
-                brute = sum(1 for _ in enumerate_paths(region))
-                if andre_barbier_count(1, (n, r, s)) != brute:
-                    return VerifyResult(name, False, "case 1 count", f"n={n} r={r} s={s}")
-                if r > 0:
-                    counts = path_distribution(region, ["t", "b"]).terms
-                    for c in range(0, region.x + 2):
-                        for i in range(0, c + 1):
-                            expected = counts.get((i, c - i), 0)
-                            got = contact_formula_count(1, (n, r, s), i, c - i)
-                            if got != expected:
-                                return VerifyResult(
-                                    name, False, f"case 1 contacts ({i},{c - i})", f"n={n} r={r} s={s}"
-                                )
-    for n in range(0, 4):
-        for r in range(0, 4):
-            for k in range(0, 3):
-                region = case2_region(n, r, k)
-                brute = sum(1 for _ in enumerate_paths(region))
-                if andre_barbier_count(2, (n, r, k)) != brute:
-                    return VerifyResult(name, False, "case 2 count", f"n={n} r={r} k={k}")
-                if r > 0:
-                    counts = path_distribution(region, ["t", "b"]).terms
-                    for c in range(0, region.x + 2):
-                        for i in range(0, c + 1):
-                            expected = counts.get((i, c - i), 0)
-                            got = contact_formula_count(2, (n, r, k), i, c - i)
-                            if got != expected:
-                                return VerifyResult(
-                                    name, False, f"case 2 contacts ({i},{c - i})", f"n={n} r={r} k={k}"
-                                )
+    families = [
+        (1, "n={} r={} s={}", (n, r, s))
+        for n in range(max_total + 1)
+        for r in range(max_total - n + 1)
+        for s in range(max_total - n - r + 1)
+    ] + [(2, "n={} r={} k={}", params) for params in product(range(4), range(4), range(3))]
+    for case, label, params in families:
+        region = (case1_region if case == 1 else case2_region)(*params)
+        where = label.format(*params)
+        if andre_barbier_count(case, params) != sum(1 for _ in enumerate_paths(region)):
+            return VerifyResult(name, False, f"case {case} count", where)
+        if params[1] > 0:  # the contact formulas need a trailing north run, r > 0
+            counts = path_distribution(region, ["t", "b"]).terms
+            for c in range(region.x + 2):
+                for i in range(c + 1):
+                    if contact_formula_count(case, params, i, c - i) != counts.get((i, c - i), 0):
+                        return VerifyResult(name, False, f"case {case} contacts ({i},{c - i})", where)
     return VerifyResult(name, True, f"families swept to total {max_total}")
 
 
@@ -541,21 +509,3 @@ SUITES: dict[str, Callable[[int], VerifyResult]] = {
     "conjectures": lambda m: check_conjectures(min(m, 4)),
     "negative-control": lambda m: check_negative_control(),
 }
-
-
-def _run_one(args: tuple[str, int]) -> VerifyResult:
-    name, max_size = args
-    return SUITES[name](max_size)
-
-
-def run_suites(names: list[str], max_size: int) -> list[VerifyResult]:
-    """Run the named sweeps, in parallel when PATHLAB_THREADS allows it;
-    results keep the order of the names."""
-    threads = threads_from_env()
-    jobs = [(name, max_size) for name in names]
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            return list(pool.map(_run_one, jobs))
-    return [_run_one(job) for job in jobs]

@@ -56,6 +56,19 @@ def test_easy_bottom_count():
     assert easy_bottom_count(r, 3, 2) == 0  # i + j exceeds the width
 
 
+def test_easy_bottom_count_matches_direct_count_on_every_eligible_region():
+    regions = pairs = 0
+    for r in all_regions(6):
+        if any(t != r.y for t in r.t_heights) or (r.b_heights and r.b_heights[-1] == r.y):
+            continue
+        regions += 1
+        for i in range(r.x + 2):
+            for j in range(r.x + 2 - i):
+                assert easy_bottom_count(r, i, j) == direct_contact_count(r, i, j), (r, i, j)
+                pairs += 1
+    assert (regions, pairs) == (64, 690)
+
+
 def test_easy_bottom_requires_north_ending():
     with pytest.raises(ValueError):
         easy_bottom_count(Region.from_steps("NNEE", "ENNE"), 0, 0)

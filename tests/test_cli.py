@@ -1,8 +1,13 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathlab.cli import main
+from pathlab.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -152,6 +157,12 @@ def test_failure_exit_code(capsys):
         ["swapall", "--T", "NNEE", "--B", "ENEN", "--path", "NNXE"],  # bad step
         ["swapall", "--T", "ENEN", "--B", "NNEE", "--path", "NNEE"],  # crossing
         ["dist", "--region", "B=ENEN;Q=NNEE", "--stats", "t,b"],  # bad label
+        ["swapall", "--T", "NNEE", "--B", "ENEN", "--path", "EENN"],  # leaves the region
+        ["perm", "--to-path", "1123"],  # not a permutation
+        ["enumerate", "--T", "NNEE", "--B", "ENEN", "--descents", "x"],
+        ["flagged-schur", "--shape", "2,3", "--k", "1", "--nvars", "3"],  # rows increase
+        ["triangulate", "--n", "3", "--k", "2"],  # polygon too small
+        ["nicolas-check", "--n", "3", "--k", "2"],
     ],
 )
 def test_malformed_path_or_region_is_usage_error(capsys, argv):
@@ -180,6 +191,8 @@ def test_unknown_stat_is_usage_error(capsys):
         ["activities", "--T", "NNEE", "--B", "ENEN"],  # neither --base nor --path
         ["ktuple-dist", "--T", "NNEE", "--B", "ENEN", "--k", "0", "--stats", "h"],
         ["enumerate", "--T", "NNEE", "--B", "ENEN", "--k", "-1"],
+        ["perm"],  # neither --to-path nor --from-path
+        ["count-ab", "--case", "1", "--params", "1,2"],  # two of three parameters
     ],
 )
 def test_bad_verb_input_is_usage_error(capsys, argv):
@@ -188,3 +201,80 @@ def test_bad_verb_input_is_usage_error(capsys, argv):
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert message.startswith("error:") and message.count("\n") == 1
+
+
+def test_sweeps_write_wall_times_to_stderr(capsys):
+    assert main(["verify", "--suite", "negative-control"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("ok")
+    assert re.fullmatch(r"negative-control: \d+\.\d\ds\n", captured.err)
+    assert main(["check-conjectures", "--n", "2"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [re.fullmatch(r"(.*): \d+\.\d\ds", line).group(1) for line in lines] == [
+        "equivalences n=1", "equivalences n=2", "sum-dependence n=1", "sum-dependence n=2",
+    ]
+
+
+# Arguments for the fuzz test: short texts over each format's alphabet plus a
+# junk character, and integers small enough that every call stays under a second.
+STEPS = st.text("NESX", max_size=6)
+LISTS = st.text("0123,-x", max_size=6)
+SMALL = st.integers(-1, 4).map(str)
+
+
+def opt(flag, values=None):
+    """An argument that is absent, or present (with a drawn value)."""
+    present = st.just([flag]) if values is None else values.map(lambda v: [flag, v])
+    return st.one_of(st.just([]), present)
+
+
+REGION = st.one_of(
+    st.tuples(STEPS, STEPS).map(lambda tb: ["--T", tb[0], "--B", tb[1]]),
+    st.tuples(STEPS, STEPS).map(lambda tb: ["--region", f"T={tb[0]};B={tb[1]}"]),
+    st.text("TB=;NEX", max_size=10).map(lambda text: ["--region", text]),
+    st.just([]),
+)
+PATHS = st.lists(STEPS, max_size=3).map(";".join)
+ORDER = st.one_of(st.sampled_from(["natural", "reversed", "x"]), LISTS.map("perm:".__add__))
+VERB_ARGS = {
+    "enumerate": [REGION, opt("--south"), opt("--descents", LISTS), opt("--heights", LISTS), opt("--k", SMALL)],
+    "dist": [REGION, opt("--stats", st.text("tblrq,", max_size=5)), opt("--south")],
+    "swapall": [REGION, opt("--path", STEPS)],
+    "switch": [opt("--word", st.text("tbx", max_size=8)), opt("--inverse")],
+    "psi": [REGION, opt("--paths", PATHS)],
+    "psi-inv": [opt("--tableau", st.text("0123/, a", max_size=8)), opt("--k", SMALL)],
+    "tab": [REGION, opt("--paths", PATHS)],
+    "flagged-schur": [opt("--shape", LISTS), opt("--k", SMALL), opt("--nvars", SMALL)],
+    "tutte": [REGION, opt("--order", ORDER)],
+    "activities": [REGION, opt("--order", ORDER), opt("--base", LISTS), opt("--path", STEPS)],
+    "ktuple-dist": [REGION, opt("--k", SMALL), opt("--stats", st.sampled_from("hvux"))],
+    "perm": [opt("--to-path", st.text("0123456789,", max_size=8)), opt("--from-path", STEPS)],
+    "watermelon": [opt("--paths", st.text("UD+-x;", max_size=10))],
+    "count-ab": [opt("--case", st.sampled_from("123")), opt("--params", LISTS), opt("--contacts", LISTS)],
+    "check-cor-ij": [REGION],
+    "check-conjectures": [opt("--n", st.integers(-1, 3).map(str))],
+    "triangulate": [opt("--n", st.integers(-1, 8).map(str)), opt("--k", SMALL)],
+    "nicolas-check": [opt("--n", st.integers(-1, 8).map(str)), opt("--k", SMALL)],
+    "verify": [
+        opt("--suite", st.sampled_from(sorted(SUITES) + ["all", "x"])),
+        st.integers(-1, 2).map(lambda m: ["--max", str(m)]),  # the default, 6, takes minutes
+        opt("--list"),
+    ],
+}
+FORMAT = opt("--format", st.sampled_from(["text", "json", "x"]))
+ARGV = st.sampled_from(sorted(VERB_ARGS)).flatmap(
+    lambda verb: st.tuples(*VERB_ARGS[verb], FORMAT).map(
+        lambda parts: [verb] + [arg for part in parts for arg in part]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_every_verb_exits_0_1_or_2_without_a_traceback(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -59,6 +59,15 @@ def test_ring_laws(t1, t2):
     assert (p + q) * p == p * p + q * p
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), coef, max_size=5),
+       st.permutations(range(3)))
+def test_equal_polynomials_hash_alike(terms, perm):
+    p = MultiPoly(("x", "y", "z"), terms)
+    q = p.with_variable_order(tuple(p.variables[i] for i in perm))
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
 def test_h_complete():
     vs = ("x1", "x2", "x3")
     assert h_complete(1, 2, vs) == MultiPoly(vs, {(1, 0, 0): 1, (0, 1, 0): 1})

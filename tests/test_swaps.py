@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
+
 import pytest
 
 from pathlab.enumeration import enumerate_paths
@@ -133,3 +138,33 @@ def test_class_bijectivity_sweep():
             images = {swap(region, p) for p in members}
             target = set(classes.get((dset, free, e - 1, f + 1, u), []))
             assert images == target
+
+
+OPTIMIZED_CHECK = """
+import sys
+from pathlab import InvariantError, swaps
+from pathlab.verify import check_contact_involution
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+swaps.switch = lambda word: word
+try:
+    check_contact_involution(4)
+except InvariantError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("swap accepted a contact word it did not switch")
+"""
+
+
+def test_swap_checks_survive_optimized_mode():
+    src = str(FilePath(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: swap did not switch the contact word")
