@@ -332,12 +332,12 @@ def cmd_perm(args) -> int:
 
 
 def cmd_watermelon(args) -> int:
-    melon = Watermelon(
-        tuple(
-            tuple(1 if ch in "Uu+" else -1 for ch in chunk)
-            for chunk in args.paths.split(";")
-        )
-    )
+    steps = {"U": 1, "D": -1}
+    chunks = args.paths.split(";")
+    bad = sorted(set("".join(chunks)) - set(steps))
+    if bad:
+        raise ValueError(f"steps must be U or D, not {bad}")
+    melon = Watermelon(tuple(tuple(steps[ch] for ch in chunk) for chunk in chunks))
     pt = watermelon_to_tuple(melon)
     if tuple_to_watermelon(pt) != melon:
         raise InvariantError("the tuple does not map back to the configuration")

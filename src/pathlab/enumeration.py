@@ -46,16 +46,33 @@ def enumerate_paths(
 
 def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Weakly increasing sequences h with lo[i] <= h[i] <= hi[i], in
-    lexicographic order."""
+    lexicographic order.
 
-    def rec(col: int, prev: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if col == len(lo):
-            yield prefix
+    Iterative, so the width of the region is not bounded by the recursion
+    limit: columns from ``col`` on are filled with their least values, and
+    after each sequence (or dead end) the rightmost column below its cap is
+    raised by one.
+    """
+    n = len(lo)
+    h = [0] * n
+    col = 0
+    while True:
+        prev = h[col - 1] if col else 0
+        while col < n:
+            v = prev if prev > lo[col] else lo[col]
+            if v > hi[col]:
+                break
+            h[col] = prev = v
+            col += 1
+        else:
+            yield tuple(h)
+        col -= 1
+        while col >= 0 and h[col] >= hi[col]:
+            col -= 1
+        if col < 0:
             return
-        for h in range(max(prev, lo[col]), hi[col] + 1):
-            yield from rec(col + 1, h, prefix + (h,))
-
-    yield from rec(0, 0, ())
+        h[col] += 1
+        col += 1
 
 
 def enumerate_tuples(region: Region, k: int) -> Iterator[PathTuple]:

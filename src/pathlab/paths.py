@@ -253,10 +253,15 @@ class Region:
         return f"T={self.top};B={self.bottom}"
 
 
+def check_dimensions(region: Region, path: Path) -> None:
+    """Raise ``RegionError`` unless the path ends where the region does."""
+    if len(path.heights) != len(region.t_heights) or path.y != region.y:
+        raise RegionError("path and region dimensions differ")
+
+
 def contains(region: Region, path: Path) -> bool:
     """Whether the path lies weakly between the two boundaries."""
-    if path.x != region.x or path.y != region.y:
-        raise RegionError("path and region dimensions differ")
+    check_dimensions(region, path)
     return all(
         b <= h <= t
         for b, h, t in zip(region.b_heights, path.heights, region.t_heights)
@@ -268,24 +273,43 @@ def contact_stats(region: Region, path: Path) -> ContactStats:
     shared with each boundary.
 
     A column where the two boundaries coincide counts toward both t and b.
+    The vertical run before column i covers [h_prev, h) and the top's
+    covers [th_prev, th); as h <= th they share max(0, h - max(h_prev,
+    th_prev)) edges, and likewise min(h, bh) = bh for the bottom.  The final
+    runs, up to y, follow the last column.
     """
-    if not contains(region, path):
-        raise RegionError("path does not lie in the region")
-    t = sum(h == th for h, th in zip(path.heights, region.t_heights))
-    b = sum(h == bh for h, bh in zip(path.heights, region.b_heights))
-    own = north_edges(path)
-    l = len(own & north_edges(region.top))
-    r = len(own & north_edges(region.bottom))
+    check_dimensions(region, path)
+    t = b = l = r = 0
+    hp = tp = bp = 0
+    for h, th, bh in zip(path.heights, region.t_heights, region.b_heights):
+        if h == th:
+            t += 1
+        elif h > th:
+            raise RegionError("path does not lie in the region")
+        if h == bh:
+            b += 1
+        elif h < bh:
+            raise RegionError("path does not lie in the region")
+        if h > hp:
+            if h > tp:
+                l += h - (hp if hp > tp else tp)
+            if bh > hp and bh > bp:
+                r += bh - (hp if hp > bp else bp)
+        hp, tp, bp = h, th, bh
+    y = path.y
+    l += y - (hp if hp > tp else tp)
+    r += y - (hp if hp > bp else bp)
     return ContactStats(t, b, l, r)
 
 
 def noncontact_heights(region: Region, path: Path) -> tuple[int, ...]:
     """Heights of the east steps that are neither top nor bottom contacts,
     in column order."""
-    if not contains(region, path):
-        raise RegionError("path does not lie in the region")
-    return tuple(
-        h
-        for h, th, bh in zip(path.heights, region.t_heights, region.b_heights)
-        if h != th and h != bh
-    )
+    check_dimensions(region, path)
+    out = []
+    for h, th, bh in zip(path.heights, region.t_heights, region.b_heights):
+        if bh < h < th:
+            out.append(h)
+        elif h != th and h != bh:
+            raise RegionError("path does not lie in the region")
+    return tuple(out)

@@ -547,6 +547,8 @@ def flagged_schur(shape: YoungShape, k: int, nvars: int) -> MultiPoly:
     the shape, expanded exactly from its determinantal form."""
     parts = [p for p in shape.parts if p > 0]
     ell = len(parts)
+    if k < 0:
+        raise ValueError("k must be a natural number")
     if nvars < k + ell:
         raise ValueError("need at least k + number of parts variables")
     variables = tuple(f"x{i}" for i in range(1, nvars + 1))

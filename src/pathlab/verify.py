@@ -159,13 +159,15 @@ def check_contact_involution(max_semi: int = 8) -> VerifyResult:
             ist = contact_stats(region, image)
             if (ist.t, ist.b) != (st.b, st.t):
                 return VerifyResult(name, False, "contact counts not exchanged", f"{region} {p}")
-            if descent_set(image) != descent_set(p):
+            descents = descent_set(p)
+            if descent_set(image) != descents:
                 return VerifyResult(name, False, "descent set changed", f"{region} {p}")
-            if noncontact_heights(region, image) != noncontact_heights(region, p):
+            free = noncontact_heights(region, p)
+            if noncontact_heights(region, image) != free:
                 return VerifyResult(name, False, "free heights changed", f"{region} {p}")
             if swapall(region, image) != p:
                 return VerifyResult(name, False, "not an involution", f"{region} {p}")
-            key = (descent_set(p), noncontact_heights(region, p))
+            key = (descents, free)
             data = class_data.setdefault(key, {"dist": {}, "t1b0": 0, "t0b1": 0})
             data["dist"][(st.t, st.b)] = data["dist"].get((st.t, st.b), 0) + 1
             if (st.t, st.b) == (1, 0):

@@ -161,6 +161,8 @@ def test_failure_exit_code(capsys):
         ["perm", "--to-path", "1123"],  # not a permutation
         ["enumerate", "--T", "NNEE", "--B", "ENEN", "--descents", "x"],
         ["flagged-schur", "--shape", "2,3", "--k", "1", "--nvars", "3"],  # rows increase
+        ["flagged-schur", "--shape", "1", "--k", "-1", "--nvars", "1"],  # negative k
+        ["watermelon", "--paths", "UxUD"],  # x is not a step
         ["triangulate", "--n", "3", "--k", "2"],  # polygon too small
         ["nicolas-check", "--n", "3", "--k", "2"],
     ],

@@ -3,7 +3,9 @@ from itertools import product
 
 from hypothesis import given, strategies as st
 
+from pathlab.cli import main
 from pathlab.enumeration import (
+    _height_sequences,
     distribution,
     enumerate_paths,
     enumerate_tuples,
@@ -31,6 +33,27 @@ def test_lex_order_and_stream_determinism():
     seen = [p.heights for p in enumerate_paths(SMALL)]
     assert seen == sorted(seen)
     assert seen == [p.heights for p in enumerate_paths(SMALL)]
+
+
+def test_height_sequences_match_filtered_product():
+    # every bound pair of width at most 3 over 0..2, lo above hi included
+    for n in range(4):
+        for lo in product(range(3), repeat=n):
+            for hi in product(range(3), repeat=n):
+                expected = [
+                    h
+                    for h in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+                    if all(u <= v for u, v in zip(h, h[1:]))
+                ]
+                assert list(_height_sequences(lo, hi)) == expected
+
+
+def test_wide_region_is_not_bounded_by_the_recursion_limit(capsys):
+    top, bottom = "N" + "E" * 1200, "E" * 1200 + "N"
+    region = Region.from_steps(top, bottom)
+    assert sum(1 for _ in enumerate_paths(region)) == 1201 == lgv_count(region, 1)
+    assert main(["enumerate", "--T", top, "--B", bottom]) == 0
+    assert capsys.readouterr().out.endswith("total 1201\n")
 
 
 def test_descent_class_members():

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from pathlab.enumeration import enumerate_paths
 from pathlab.paths import (
     ContactStats,
     Path,
@@ -11,10 +14,12 @@ from pathlab.paths import (
     contains,
     descent_set,
     noncontact_heights,
+    north_edges,
     north_index_set,
     parse_path,
     path_from_north_set,
 )
+from pathlab.verify import all_regions
 
 # a wide region reused by several pinned examples
 BIG_T = "NNENEENENENENEEEE"
@@ -136,6 +141,52 @@ def test_shared_column_counts_to_both():
     r = Region.from_steps("EN", "EN")
     st_ = contact_stats(r, r.bottom)
     assert (st_.t, st_.b) == (1, 1)
+
+
+def contact_stats_by_definition(region, path):
+    """t and b column by column, l and r as intersections of north edge
+    sets."""
+    if not contains(region, path):
+        raise RegionError("path does not lie in the region")
+    t = sum(h == th for h, th in zip(path.heights, region.t_heights))
+    b = sum(h == bh for h, bh in zip(path.heights, region.b_heights))
+    own = north_edges(path)
+    l = len(own & north_edges(region.top))
+    r = len(own & north_edges(region.bottom))
+    return ContactStats(t, b, l, r)
+
+
+def noncontact_heights_by_definition(region, path):
+    if not contains(region, path):
+        raise RegionError("path does not lie in the region")
+    return tuple(
+        h
+        for h, th, bh in zip(path.heights, region.t_heights, region.b_heights)
+        if h != th and h != bh
+    )
+
+
+def test_contact_statistics_match_definition():
+    for region in all_regions(7):
+        for p in enumerate_paths(region, south_allowed=True):
+            assert contact_stats(region, p) == contact_stats_by_definition(region, p)
+            assert noncontact_heights(region, p) == noncontact_heights_by_definition(region, p)
+
+
+def test_contact_statistics_reject_paths_outside_the_region():
+    for region in all_regions(5):
+        for heights in product(range(region.y + 1), repeat=region.x):
+            p = Path(heights, region.y)
+            if contains(region, p):
+                continue
+            for stat in (contact_stats, noncontact_heights):
+                with pytest.raises(RegionError, match="^path does not lie in the region$"):
+                    stat(region, p)
+    r = Region.from_steps("NNEE", "ENEN")
+    for p in (Path((1, 1, 1), 2), Path((1, 1), 3)):
+        for stat in (contains, contact_stats, noncontact_heights):
+            with pytest.raises(RegionError, match="^path and region dimensions differ$"):
+                stat(r, p)
 
 
 def test_descent_set():

@@ -1,13 +1,25 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path as FilePath
 
 import pytest
 
 from pathlab.enumeration import enumerate_paths
-from pathlab.paths import Path, Region, contact_stats, descent_set, noncontact_heights
+from pathlab.paths import (
+    InvariantError,
+    Path,
+    Region,
+    RegionError,
+    contact_stats,
+    contains,
+    descent_set,
+    noncontact_heights,
+    vertices,
+)
 from pathlab.swaps import contact_word, swap, swap_inv, swapall
+from pathlab.verify import all_regions
 from pathlab.words import factorize, switch, unmatched_count
 
 FIG4 = Region.from_steps("NNNEEENEE", "EENEEENNN")
@@ -138,6 +150,153 @@ def test_class_bijectivity_sweep():
             images = {swap(region, p) for p in members}
             target = set(classes.get((dset, free, e - 1, f + 1, u), []))
             assert images == target
+
+
+# The swaps as first written: contact letters recomputed and containment
+# checked again at every step, blocks found through descent_set and the
+# boundaries' vertex sets.  The fused kernels must agree with them.
+
+
+def oracle_letters(region, path):
+    out = []
+    for i, (h, th, bh) in enumerate(zip(path.heights, region.t_heights, region.b_heights)):
+        if h == th and h == bh:
+            continue
+        if h == th:
+            out.append((i + 1, "t"))
+        elif h == bh:
+            out.append((i + 1, "b"))
+    return tuple(out)
+
+
+def oracle_word(region, path):
+    if not contains(region, path):
+        raise RegionError("path does not lie in the region")
+    return "".join(letter for _, letter in oracle_letters(region, path))
+
+
+def oracle_swap(region, path):
+    letters = oracle_letters(region, path)
+    word = "".join(l for _, l in letters)
+    _, unmatched_t = factorize(word)
+    if not unmatched_t:
+        raise ValueError("contact word has no unmatched top contact")
+    c_t = letters[unmatched_t[0] - 1][0]
+    h = path.heights
+    x = len(h)
+    descents = descent_set(path)
+    b_pts = vertices(region.bottom)
+    x_start = c_t
+    while x_start > 1 and (x_start - 1) not in descents and (x_start - 1, h[x_start - 2]) not in b_pts:
+        x_start -= 1
+    y_end = c_t
+    while y_end < x and y_end in descents:
+        y_end += 1
+    len_y = y_end - c_t
+    contact_cols = {col for col, _ in letters}
+    if any(j in contact_cols for j in range(x_start, c_t)):
+        raise InvariantError("block X may not contain contacts")
+    if any(j in contact_cols for j in range(c_t + 1, y_end + 1)):
+        raise InvariantError("block Y may not contain contacts")
+    h_x = None if x_start == c_t else h[c_t - 2]
+    h_y = None if len_y == 0 else h[c_t]
+    if h_x is None or (h_y is not None and h_x <= h_y):
+        b_col = c_t + len_y
+        new = h[: c_t - 1] + h[c_t : c_t + len_y] + (region.b_heights[b_col - 1],) + h[c_t + len_y :]
+    else:
+        b_col = x_start
+        new = h[: x_start - 1] + (region.b_heights[x_start - 1],) + h[x_start - 1 : c_t - 1] + h[c_t:]
+    image = Path(new, path.y)
+    if not contains(region, image):
+        raise InvariantError("swap left the region")
+    if oracle_word(region, image) != switch(word):
+        raise InvariantError("swap did not switch the contact word")
+    return image
+
+
+def oracle_swap_inv(region, path):
+    letters = oracle_letters(region, path)
+    word = "".join(l for _, l in letters)
+    unmatched_b, _ = factorize(word)
+    if not unmatched_b:
+        raise ValueError("contact word has no unmatched bottom contact")
+    c_b = letters[unmatched_b[-1] - 1][0]
+    h = path.heights
+    x = len(h)
+    descents = descent_set(path)
+    t_pts = vertices(region.top)
+    s_start = c_b
+    while s_start > 1 and (s_start - 1) in descents:
+        s_start -= 1
+    len_s = c_b - s_start
+    u_end = c_b
+    while u_end < x and u_end not in descents and (u_end, h[u_end]) not in t_pts:
+        u_end += 1
+    len_u = u_end - c_b
+    contact_cols = {col for col, _ in letters}
+    if any(j in contact_cols for j in range(s_start, c_b)):
+        raise InvariantError("block S may not contain contacts")
+    if any(j in contact_cols for j in range(c_b + 1, u_end + 1)):
+        raise InvariantError("block U may not contain contacts")
+    h_s = None if len_s == 0 else h[c_b - 2]
+    h_u = None if len_u == 0 else h[c_b]
+    if len_u == 0 or (len_s > 0 and h_s <= h_u):
+        t_col = c_b - len_s
+        new = h[: t_col - 1] + (region.t_heights[t_col - 1],) + h[t_col - 1 : c_b - 1] + h[c_b:]
+    else:
+        t_col = c_b + len_u
+        new = h[: c_b - 1] + h[c_b : c_b + len_u] + (region.t_heights[t_col - 1],) + h[c_b + len_u :]
+    image = Path(new, path.y)
+    if not contains(region, image):
+        raise InvariantError("inverse swap left the region")
+    return image
+
+
+def oracle_swapall(region, path):
+    if not contains(region, path):
+        raise RegionError("path does not lie in the region")
+    t = sum(h == th for h, th in zip(path.heights, region.t_heights))
+    b = sum(h == bh for h, bh in zip(path.heights, region.b_heights))
+    image = path
+    for _ in range(t - b):
+        image = oracle_swap(region, image)
+    for _ in range(b - t):
+        image = oracle_swap_inv(region, image)
+    return image
+
+
+def outcome(fn, region, path):
+    try:
+        return fn(region, path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_swaps_match_oracle():
+    multistep = 0
+    for region in all_regions(7):
+        for p in enumerate_paths(region, south_allowed=True):
+            word = contact_word(region, p)
+            assert word == oracle_word(region, p)
+            assert outcome(swap, region, p) == outcome(oracle_swap, region, p)
+            assert outcome(swap_inv, region, p) == outcome(oracle_swap_inv, region, p)
+            assert swapall(region, p) == oracle_swapall(region, p)
+            multistep += abs(word.count("t") - word.count("b")) > 1
+    assert multistep > 1000
+
+
+def test_swaps_reject_paths_outside_the_region():
+    for region in all_regions(5):
+        for heights in product(range(region.y + 1), repeat=region.x):
+            p = Path(heights, region.y)
+            if contains(region, p):
+                continue
+            for fn in (contact_word, swapall, swap, swap_inv):
+                with pytest.raises(RegionError, match="^path does not lie in the region$"):
+                    fn(region, p)
+    for fn in (contact_word, swapall, swap, swap_inv):
+        with pytest.raises(RegionError, match="^path and region dimensions differ$"):
+            fn(DYCK22, Path((2, 2, 2), 2))
 
 
 OPTIMIZED_CHECK = """
