@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .enumeration import enumerate_paths, path_distribution
-from .paths import InvariantError, Path, Region, contact_stats, vertices
+from .enumeration import _height_sequences, enumerate_paths, path_distribution
+from .paths import InvariantError, Path, Region
 from .swaps import contact_word
 from .tuples import PathTuple
 
@@ -61,14 +61,9 @@ def corollary_ij_check(region: Region) -> IJReport:
     a bottom contact not preceding a top contact, which keeps the three
     conditions equivalent on degenerate regions.
     """
-    counts: dict[tuple[int, int], int] = {}
-    order_ok = True
+    counts = path_distribution(region, ["t", "b"]).terms
     shared = any(t == b for t, b in zip(region.t_heights, region.b_heights))
-    for p in enumerate_paths(region):
-        st = contact_stats(region, p)
-        counts[(st.t, st.b)] = counts.get((st.t, st.b), 0) + 1
-        if "tb" in contact_word(region, p):
-            order_ok = False
+    order_ok = not any("tb" in contact_word(region, p) for p in enumerate_paths(region))
     cond_counts = _counts_depend_on_sum(counts, region.x + 1)
     cond_order = order_ok and not shared
     if region.x == 0:
@@ -444,16 +439,20 @@ class ConjectureReport:
 
 
 def regions_touching_only_at_ends(n: int) -> list[Region]:
-    paths = list(enumerate_paths(Region.rectangle(n, n)))
-    ends = {(0, 0), (n, n)}
+    """The regions in the n-by-n square whose boundaries share only their
+    endpoints, ordered by top and then bottom heights.
+
+    Such a top starts with N and ends with E: t_1 >= 1 and t_n = n.  Such a
+    bottom starts with E, b_1 = 0, and at each inner x-coordinate i its
+    vertical run, up to b_{i+1}, stays below the top's, from t_i: so
+    b_{i+1} <= t_i - 1.
+    """
     regions = []
-    for top in paths:
-        for bottom in paths:
-            if any(t < b for t, b in zip(top.heights, bottom.heights)):
-                continue
-            if vertices(top) & vertices(bottom) != ends:
-                continue
-            regions.append(Region(top, bottom))
+    lows = (1,) * (n - 1) + (n,) if n else ()
+    for top in _height_sequences(lows, (n,) * n):
+        caps = (0, *(t - 1 for t in top))[:n]
+        for bottom in _height_sequences((0,) * n, caps):
+            regions.append(Region(Path(top, n), Path(bottom, n)))
     return regions
 
 

@@ -1,13 +1,17 @@
 """Exhaustive generators for paths and nested tuples, exact distribution
-polynomials, and a determinant shortcut for tuple counts."""
+polynomials, and a determinant shortcut for tuple counts.
+
+Contact distributions come from a transfer matrix over the columns of the
+region and list no path; ``distribution`` folds any other statistic over a
+stream of objects."""
 
 from __future__ import annotations
 
 from itertools import product
-from operator import itemgetter
+from operator import add
 from typing import Callable, Iterable, Iterator
 
-from .paths import Path, Region, contact_stats, descent_set, noncontact_heights
+from .paths import Path, Region, descent_set, noncontact_heights
 from .polynomials import MultiPoly, int_determinant
 from .tuples import PathTuple
 
@@ -120,15 +124,54 @@ def path_distribution(
 ) -> MultiPoly:
     """Joint distribution of named contact statistics (letters of
     ``CONTACT_STATS``) over the region, with variables x, y, ... in the
-    order given."""
-    stats = [
-        (VAR_NAMES[i], itemgetter(CONTACT_STATS.index(name)))
-        for i, name in enumerate(stat_names)
-    ]
-    contacts = (
-        contact_stats(region, p).as_tuple() for p in enumerate_paths(region, south_allowed)
-    )
-    return distribution(contacts, stats)
+    order given.
+
+    A transfer matrix over columns (Stanley, EC1 4.7), so no path is
+    listed.  The state maps each height h_prev of the previous column to
+    the counts, by exponent tuple of the requested letters, of the prefixes
+    ending there.  Column j moves to every height h in [b_j, t_j], and
+    without south steps only to h >= h_prev.  Each move adds the column's
+    terms of ``paths.contact_stats``: 1 to t if h == t_j, 1 to b if
+    h == b_j, and the overlaps of the north run [h_prev, h) with the top's
+    run [t_{j-1}, t_j) to l and with the bottom's run [b_{j-1}, b_j) to r.
+    After the last column the final runs up to y add to l and r.
+    """
+    variables = tuple(VAR_NAMES[i] for i in range(len(stat_names)))
+    slots = [CONTACT_STATS.index(name) for name in stat_names]
+    state = {0: {(0,) * len(slots): 1}}
+    tp = bp = 0
+    for th, bh in zip(region.t_heights, region.b_heights):
+        nxt: dict[int, dict[tuple[int, ...], int]] = {}
+        for hp, prefixes in state.items():
+            for h in range(bh if south_allowed else max(bh, hp), th + 1):
+                gain = [h == th, h == bh, 0, 0]
+                if h > hp:
+                    if h > tp:
+                        gain[2] = h - (hp if hp > tp else tp)
+                    if bh > hp and bh > bp:
+                        gain[3] = bh - (hp if hp > bp else bp)
+                _shift_into(nxt.setdefault(h, {}), prefixes, [gain[s] for s in slots])
+        state = nxt
+        tp, bp = th, bh
+    y = region.y
+    terms: dict[tuple[int, ...], int] = {}
+    for hp, prefixes in state.items():
+        gain = (0, 0, y - (hp if hp > tp else tp), y - (hp if hp > bp else bp))
+        _shift_into(terms, prefixes, [gain[s] for s in slots])
+    return MultiPoly(variables, terms)
+
+
+def _shift_into(
+    target: dict[tuple[int, ...], int], counts: dict[tuple[int, ...], int], gain: list[int]
+) -> None:
+    """Add the counts to the target, each exponent tuple raised by gain."""
+    if any(gain):
+        for exp, count in counts.items():
+            exp = tuple(map(add, exp, gain))
+            target[exp] = target.get(exp, 0) + count
+    else:
+        for exp, count in counts.items():
+            target[exp] = target.get(exp, 0) + count
 
 
 def _count_paths_avoiding(

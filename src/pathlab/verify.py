@@ -429,8 +429,9 @@ def check_permutation_bridge(max_n: int = 7) -> VerifyResult:
 
 
 def check_closed_formulas(max_total: int = 7) -> VerifyResult:
-    """Closed counting formulas against brute-force enumeration, including
-    the contact-refined versions."""
+    """Closed counting formulas against the (t, b) contact distribution:
+    its coefficient sum is the path count, and its coefficients are the
+    contact-refined counts."""
     name = "closed-formulas"
     families = [
         (1, "n={} r={} s={}", (n, r, s))
@@ -441,10 +442,11 @@ def check_closed_formulas(max_total: int = 7) -> VerifyResult:
     for case, label, params in families:
         region = (case1_region if case == 1 else case2_region)(*params)
         where = label.format(*params)
-        if andre_barbier_count(case, params) != sum(1 for _ in enumerate_paths(region)):
+        dist = path_distribution(region, ["t", "b"])
+        if andre_barbier_count(case, params) != dist.coefficient_sum():
             return VerifyResult(name, False, f"case {case} count", where)
         if params[1] > 0:  # the contact formulas need a trailing north run, r > 0
-            counts = path_distribution(region, ["t", "b"]).terms
+            counts = dist.terms
             for c in range(region.x + 2):
                 for i in range(c + 1):
                     if contact_formula_count(case, params, i, c - i) != counts.get((i, c - i), 0):

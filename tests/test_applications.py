@@ -1,7 +1,9 @@
 import pytest
 
 from pathlab.applications import (
+    IJReport,
     Watermelon,
+    _counts_depend_on_sum,
     andre_barbier_count,
     binom,
     brak_essam_counts,
@@ -25,7 +27,8 @@ from pathlab.applications import (
     watermelon_to_tuple,
 )
 from pathlab.enumeration import enumerate_paths, enumerate_tuples
-from pathlab.paths import Path, Region, parse_path
+from pathlab.paths import Path, Region, contact_stats, parse_path, vertices
+from pathlab.swaps import contact_word
 from pathlab.tuples import h_stats
 from pathlab.verify import all_regions
 
@@ -33,6 +36,33 @@ from pathlab.verify import all_regions
 def test_corollary_conditions_agree_everywhere_small():
     for region in all_regions(7):
         assert corollary_ij_check(region).agree
+
+
+def enumerated_corollary_ij(region: Region) -> IJReport:
+    """The oracle for ``corollary_ij_check``: one ``contact_stats`` and one
+    contact word per path, with no early exit."""
+    counts: dict[tuple[int, int], int] = {}
+    order_ok = True
+    shared = any(t == b for t, b in zip(region.t_heights, region.b_heights))
+    for p in enumerate_paths(region):
+        st = contact_stats(region, p)
+        counts[(st.t, st.b)] = counts.get((st.t, st.b), 0) + 1
+        if "tb" in contact_word(region, p):
+            order_ok = False
+    cond_counts = _counts_depend_on_sum(counts, region.x + 1)
+    cond_order = order_ok and not shared
+    if region.x == 0:
+        cond_boundary = True
+    else:
+        cond_boundary = region.b_heights[-1] < region.t_heights[0]
+    return IJReport(cond_counts, cond_order, cond_boundary)
+
+
+def test_corollary_matches_per_path_oracle():
+    regions = list(all_regions(6)) + regions_touching_only_at_ends(4)
+    for region in regions:
+        assert corollary_ij_check(region) == enumerated_corollary_ij(region), region
+    assert len(regions) == 625 + 175
 
 
 def test_corollary_good_region():
@@ -196,6 +226,32 @@ def test_brak_essam_small():
     for (x, y, k) in ((4, 0, 1), (6, 0, 2), (5, 1, 2)):
         lhs, rhs = brak_essam_counts(x, y, k)
         assert lhs == rhs
+
+
+def filtered_regions_touching_only_at_ends(n: int) -> list[Region]:
+    """The oracle for ``regions_touching_only_at_ends``: every pair of
+    paths in the square, kept when the top dominates the bottom and their
+    vertices meet only at the two ends."""
+    paths = list(enumerate_paths(Region.rectangle(n, n)))
+    ends = {(0, 0), (n, n)}
+    regions = []
+    for top in paths:
+        for bottom in paths:
+            if any(t < b for t, b in zip(top.heights, bottom.heights)):
+                continue
+            if vertices(top) & vertices(bottom) != ends:
+                continue
+            regions.append(Region(top, bottom))
+    return regions
+
+
+def test_regions_touching_only_at_ends_match_the_filter():
+    counts = []
+    for n in range(7):
+        regions = regions_touching_only_at_ends(n)
+        assert regions == filtered_regions_touching_only_at_ends(n), n
+        counts.append(len(regions))
+    assert counts == [1, 1, 3, 20, 175, 1764, 19404]  # OEIS A005700
 
 
 def test_regions_touching_only_at_ends():

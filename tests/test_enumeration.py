@@ -1,10 +1,13 @@
 import random
 from itertools import product
+from operator import itemgetter
 
 from hypothesis import given, strategies as st
 
 from pathlab.cli import main
 from pathlab.enumeration import (
+    CONTACT_STATS,
+    VAR_NAMES,
     _height_sequences,
     distribution,
     enumerate_paths,
@@ -52,6 +55,7 @@ def test_wide_region_is_not_bounded_by_the_recursion_limit(capsys):
     top, bottom = "N" + "E" * 1200, "E" * 1200 + "N"
     region = Region.from_steps(top, bottom)
     assert sum(1 for _ in enumerate_paths(region)) == 1201 == lgv_count(region, 1)
+    assert path_distribution(region, ["t", "b"]).coefficient_sum() == 1201
     assert main(["enumerate", "--T", top, "--B", bottom]) == 0
     assert capsys.readouterr().out.endswith("total 1201\n")
 
@@ -99,17 +103,39 @@ def test_distribution_polynomials_match_displays():
     assert bl == tr
 
 
+def enumerated_distribution(
+    region: Region, stat_names: list[str], south_allowed: bool = False
+) -> MultiPoly:
+    """The oracle for ``path_distribution``: list every path and fold its
+    ``contact_stats`` into the polynomial."""
+    stats = [
+        (VAR_NAMES[i], itemgetter(CONTACT_STATS.index(name)))
+        for i, name in enumerate(stat_names)
+    ]
+    contacts = (
+        contact_stats(region, p).as_tuple() for p in enumerate_paths(region, south_allowed)
+    )
+    return distribution(contacts, stats)
+
+
+STAT_LISTS = (
+    [[a] for a in "tblr"]
+    + [[a, b] for a, b in product("tblr", repeat=2)]
+    + [["t", "b", "l"], ["b", "t", "r"], ["t", "b", "l", "r"]]
+)
+
+
 def test_path_distribution_matches_per_path_count():
-    for region in all_regions(5):
+    cases = 0
+    for region in all_regions(7):
         for south in (False, True):
-            stats = [contact_stats(region, p) for p in enumerate_paths(region, south)]
-            for a, b in product("tblr", repeat=2):
-                counts = {}
-                for stat in stats:
-                    key = (getattr(stat, a), getattr(stat, b))
-                    counts[key] = counts.get(key, 0) + 1
-                expected = MultiPoly(("x", "y"), counts)
-                assert path_distribution(region, [a, b], south) == expected, (region, a, b)
+            for names in STAT_LISTS:
+                got = path_distribution(region, names, south)
+                expected = enumerated_distribution(region, names, south)
+                assert got == expected, (region, names, south)
+                assert got.variables == expected.variables
+                cases += 1
+    assert cases == 94530
 
 
 def test_distribution_empty_stream():
