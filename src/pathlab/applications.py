@@ -5,10 +5,10 @@ finite conjecture checkers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate
 from math import comb
 
-from .enumeration import _height_sequences, enumerate_paths, path_distribution
+from .enumeration import _height_sequences, enumerate_paths, enumerate_tuples, path_distribution
 from .paths import InvariantError, Path, Region
 from .swaps import contact_word
 from .tuples import PathTuple
@@ -151,10 +151,6 @@ def contact_formula_count(case: int, params: tuple[int, ...], i: int, j: int) ->
             raise InvariantError(f"case 2 contact count {num}/{n - c + 1} is not an integer")
         return num // (n - c + 1)
     raise ValueError("case must be 1 or 2")
-
-
-def direct_contact_count(region: Region, i: int, j: int, south_allowed: bool = False) -> int:
-    return path_distribution(region, ["t", "b"], south_allowed).terms.get((i, j), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,86 +316,47 @@ def tuple_to_watermelon(pt: PathTuple) -> Watermelon:
 
 
 def enumerate_watermelons(x: int, y: int, k: int):
-    """Brute-force stream of configurations of given length and deviation."""
-    if (x + y) % 2 or y < 0:
+    """Configurations of given length and deviation, read through the
+    bijection off the weakly nested k-tuples of ``watermelon_region``."""
+    if (x + y) % 2 or not 0 <= y <= x:
         return
-    ups = (x + y) // 2
-
-    def single_paths(base: int, floor: int):
-        out = []
-        for pattern in product((1, -1), repeat=x):
-            if sum(1 for v in pattern if v == 1) != ups:
-                continue
-            height = base
-            trace = [height]
-            ok = True
-            for v in pattern:
-                height += v
-                if height < floor:
-                    ok = False
-                    break
-                trace.append(height)
-            if ok:
-                out.append((pattern, tuple(trace)))
-        return out
-
-    layers = [single_paths(2 * i, 0 if i == 0 else -(10 * x)) for i in range(k)]
-
-    def rec(idx: int, acc, prev_trace):
-        if idx == k:
-            yield Watermelon(tuple(acc))
-            return
-        for pattern, trace in layers[idx]:
-            if prev_trace is None or all(a > b for a, b in zip(trace, prev_trace)):
-                yield from rec(idx + 1, acc + [pattern], trace)
-
-    yield from rec(0, [], None)
+    for pt in enumerate_tuples(watermelon_region(x, y), k):
+        yield tuple_to_watermelon(pt)
 
 
 def count_brak_essam_families(x: int, y: int, k: int, e: int) -> int:
     """Families whose lower k-1 paths form a configuration of the full
-    length while the top path stops at (x-e-1, y+2k+e-3), all disjoint."""
+    length while the top path, from (0, 2k-2), stops at (x-e-1, y+2k+e-3),
+    all disjoint.
+
+    For each configuration of the lower paths the top walks are counted
+    column by column, as a map from height to the number of walks ending
+    there.  A step goes to h - 1 or h + 1 and must stay strictly above the
+    (k-1)-th path's trace, or at or above the axis where there is none.
+    """
     top_len = x - e - 1
     top_end = y + 2 * k + e - 3
-    if top_len < 0 or (top_len + top_end - 2 * (k - 1)) % 2:
+    if top_len < 0:
         return 0
-    ups = (top_len + top_end - 2 * (k - 1)) // 2
-    if ups < 0 or ups > top_len:
-        return 0
-
-    def top_paths(floor_trace):
-        count = 0
-        for pattern in product((1, -1), repeat=top_len):
-            if sum(1 for v in pattern if v == 1) != ups:
-                continue
-            height = 2 * (k - 1)
-            ok = True
-            trace = [height]
-            for v in pattern:
-                height += v
-                trace.append(height)
-                if height < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if floor_trace is not None and any(
-                a <= b for a, b in zip(trace, floor_trace[: top_len + 1])
-            ):
-                continue
-            count += 1
-        return count
-
     if k == 1:
-        return top_paths(None)
+        floors = [()]
+    else:
+        floors = [
+            tuple(accumulate(melon.steps[-1], initial=2 * (k - 2)))
+            for melon in enumerate_watermelons(x, y, k - 1)
+        ]
     total = 0
-    for melon in enumerate_watermelons(x, y, k - 1):
-        trace = [2 * (k - 2)]
-        height = trace[0]
-        for v in melon.steps[-1]:
-            height += v
-            trace.append(height)
-        total += top_paths(trace)
+    for floor in floors:
+        counts = {2 * (k - 1): 1}
+        for i in range(1, top_len + 1):
+            low = floor[i] if i < len(floor) else -1
+            nxt: dict[int, int] = {}
+            for h, count in counts.items():
+                for v in (h - 1, h + 1):
+                    if v > low:
+                        nxt[v] = nxt.get(v, 0) + count
+            counts = nxt
+        total += counts.get(top_end, 0)
     return total
 
 

@@ -51,6 +51,7 @@ from .paths import (
     Region,
     contact_stats,
     descent_set,
+    noncontact_heights,
     parse_path,
 )
 from .swaps import swapall
@@ -145,10 +146,12 @@ def cmd_enumerate(args) -> int:
             ";".join(str(p) for p in t.paths) for t in enumerate_tuples(region, args.k)
         ]
     else:
-        items = [
-            str(p)
-            for p in enumerate_paths(region, args.south, descents, h_filter)
-        ]
+        paths = enumerate_paths(region, args.south)
+        if descents is not None:
+            paths = (p for p in paths if descent_set(p) == descents)
+        if h_filter is not None:
+            paths = (p for p in paths if noncontact_heights(region, p) == h_filter)
+        items = [str(p) for p in paths]
     if args.format == "json":
         print(json.dumps(items, separators=(",", ":")))
     else:

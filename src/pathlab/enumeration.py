@@ -11,41 +11,28 @@ from itertools import product
 from operator import add
 from typing import Callable, Iterable, Iterator
 
-from .paths import Path, Region, descent_set, noncontact_heights
+from .paths import Path, Region, vertices
 from .polynomials import MultiPoly, int_determinant
 from .tuples import PathTuple
 
 VAR_NAMES = ("x", "y", "z", "w", "v", "u")
 
 
-def enumerate_paths(
-    region: Region,
-    south_allowed: bool = False,
-    descent_filter: frozenset[int] | None = None,
-    h_filter: tuple[int, ...] | None = None,
-) -> Iterator[Path]:
+def enumerate_paths(region: Region, south_allowed: bool = False) -> Iterator[Path]:
     """Yield the paths of the region in lexicographic height order.
 
     With ``south_allowed`` every in-range height sequence is legal;
-    otherwise only weakly increasing ones.  The optional filters restrict to
-    a fixed descent set or a fixed non-contact height sequence.
+    otherwise only the weakly increasing ones that ``_height_sequences``
+    lists.  Callers filter the stream themselves.
     """
-    if descent_filter is not None:
-        descent_filter = frozenset(descent_filter)
-    if h_filter is not None:
-        h_filter = tuple(h_filter)
     lo, hi = region.b_heights, region.t_heights
     if south_allowed:
         sequences = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     else:
         sequences = _height_sequences(lo, hi)
+    y = region.y
     for heights in sequences:
-        path = Path(heights, region.y)
-        if descent_filter is not None and descent_set(path) != descent_filter:
-            continue
-        if h_filter is not None and noncontact_heights(region, path) != h_filter:
-            continue
-        yield path
+        yield Path(heights, y)
 
 
 def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -81,9 +68,10 @@ def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tupl
 
 def enumerate_tuples(region: Region, k: int) -> Iterator[PathTuple]:
     """Yield the weakly nested k-tuples of monotone paths, ordered
-    lexicographically by concatenated height vectors."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    lexicographically by concatenated height vectors.  For k = 0 that is
+    the one empty tuple."""
+    if k < 0:
+        raise ValueError("k must be at least 0")
     lo = region.b_heights
 
     def rec_tuple(level: int, upper: tuple[int, ...], acc: tuple[Path, ...]):
@@ -136,7 +124,9 @@ def path_distribution(
     run [t_{j-1}, t_j) to l and with the bottom's run [b_{j-1}, b_j) to r.
     After the last column the final runs up to y add to l and r.
     """
-    variables = tuple(VAR_NAMES[i] for i in range(len(stat_names)))
+    if len(stat_names) > len(VAR_NAMES):
+        raise ValueError(f"at most {len(VAR_NAMES)} statistics, one per variable name")
+    variables = VAR_NAMES[: len(stat_names)]
     slots = [CONTACT_STATS.index(name) for name in stat_names]
     state = {0: {(0,) * len(slots): 1}}
     tp = bp = 0
@@ -203,8 +193,6 @@ def lgv_count(region: Region, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    from .paths import vertices
-
     x, y = region.x, region.y
     shift = k + 1
     forbidden = frozenset(vertices(region.top)) | frozenset(

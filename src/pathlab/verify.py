@@ -65,7 +65,7 @@ from .triangulations import (
     fan_region,
     nicolas_check,
 )
-from .tuples import PathTuple, h_stats, u_stats, v_stats
+from .tuples import bltr_tuple_bijection, h_stats, u_stats, v_stats
 from .words import factorize, switch, switch_inv
 
 
@@ -289,8 +289,6 @@ def check_bltr_tuples(max_semi: int = 5, max_k: int = 2) -> VerifyResult:
     """The bottom/left to top/right sweep on tuples: statistics transfer per
     instance and the two joint distributions agree."""
     name = "bltr-tuples"
-    from .tuples import bltr_tuple_bijection
-
     checked = 0
     for region in all_regions(max_semi):
         for k in range(1, max_k + 1):
@@ -321,7 +319,7 @@ def check_tableau_bijection(box: int = 4, max_k: int = 3) -> VerifyResult:
     for shape in shapes_in_box(box):
         region = region_of_shape(shape)
         for k in range(0, max_k + 1):
-            tuples = list(_tuples_any_k(region, k))
+            tuples = list(enumerate_tuples(region, k))
             images = set()
             for t in tuples:
                 tab = psi(t)
@@ -335,13 +333,6 @@ def check_tableau_bijection(box: int = 4, max_k: int = 3) -> VerifyResult:
             if images != ssyt:
                 return VerifyResult(name, False, "image is not all flagged tableaux", f"{shape} k={k}")
     return VerifyResult(name, True, f"{checked} tuples over shapes in a {box}x{box} box, k <= {max_k}")
-
-
-def _tuples_any_k(region: Region, k: int):
-    if k == 0:
-        yield PathTuple(region, ())
-        return
-    yield from enumerate_tuples(region, k)
 
 
 def shapes_in_box(box: int) -> list[YoungShape]:

@@ -1,3 +1,6 @@
+from functools import cache
+from itertools import product
+
 import pytest
 
 from pathlab.applications import (
@@ -12,8 +15,8 @@ from pathlab.applications import (
     conjecture_52_check,
     conjecture_53_check,
     contact_formula_count,
+    count_brak_essam_families,
     corollary_ij_check,
-    direct_contact_count,
     dyck_region,
     easy_bottom_count,
     enumerate_watermelons,
@@ -26,7 +29,7 @@ from pathlab.applications import (
     watermelon_region,
     watermelon_to_tuple,
 )
-from pathlab.enumeration import enumerate_paths, enumerate_tuples
+from pathlab.enumeration import enumerate_paths, enumerate_tuples, path_distribution
 from pathlab.paths import Path, Region, contact_stats, parse_path, vertices
 from pathlab.swaps import contact_word
 from pathlab.tuples import h_stats
@@ -78,11 +81,12 @@ def test_corollary_degenerate_region():
 
 def test_easy_bottom_count():
     r = Region.from_steps("NNEE", "EENN")
-    assert easy_bottom_count(r, 1, 0) == direct_contact_count(r, 1, 0)
+    counts = path_distribution(r, ["t", "b"]).terms
+    assert easy_bottom_count(r, 1, 0) == counts.get((1, 0), 0)
     for i in range(0, 3):
         for j in range(0, 3 - i):
-            assert easy_bottom_count(r, i, j) == direct_contact_count(r, i, j)
-    assert easy_bottom_count(r, 2, 1) == 0 or easy_bottom_count(r, 2, 1) == direct_contact_count(r, 2, 1)
+            assert easy_bottom_count(r, i, j) == counts.get((i, j), 0)
+    assert easy_bottom_count(r, 2, 1) == 0 or easy_bottom_count(r, 2, 1) == counts.get((2, 1), 0)
     assert easy_bottom_count(r, 3, 2) == 0  # i + j exceeds the width
 
 
@@ -92,9 +96,10 @@ def test_easy_bottom_count_matches_direct_count_on_every_eligible_region():
         if any(t != r.y for t in r.t_heights) or (r.b_heights and r.b_heights[-1] == r.y):
             continue
         regions += 1
+        counts = path_distribution(r, ["t", "b"]).terms
         for i in range(r.x + 2):
             for j in range(r.x + 2 - i):
-                assert easy_bottom_count(r, i, j) == direct_contact_count(r, i, j), (r, i, j)
+                assert easy_bottom_count(r, i, j) == counts.get((i, j), 0), (r, i, j)
                 pairs += 1
     assert (regions, pairs) == (64, 690)
 
@@ -129,11 +134,10 @@ def test_andre_barbier_case2():
 def test_contact_formula_case1():
     params = (2, 1, 0)
     region = case1_region(*params)
+    counts = path_distribution(region, ["t", "b"]).terms
     for c in range(0, region.x + 2):
         for i in range(0, c + 1):
-            assert contact_formula_count(1, params, i, c - i) == direct_contact_count(
-                region, i, c - i
-            )
+            assert contact_formula_count(1, params, i, c - i) == counts.get((i, c - i), 0)
     assert contact_formula_count(1, params, 1, 0) == 1
     assert contact_formula_count(1, params, 4, 0) == 0  # beyond the width
 
@@ -141,11 +145,10 @@ def test_contact_formula_case1():
 def test_contact_formula_case2():
     params = (2, 2, 1)
     region = case2_region(*params)
+    counts = path_distribution(region, ["t", "b"]).terms
     for c in range(0, region.x + 2):
         for i in range(0, c + 1):
-            assert contact_formula_count(2, params, i, c - i) == direct_contact_count(
-                region, i, c - i
-            )
+            assert contact_formula_count(2, params, i, c - i) == counts.get((i, c - i), 0)
 
 
 def test_contact_formula_requires_positive_r():
@@ -212,14 +215,103 @@ def test_watermelon_validation():
         Watermelon(((1, 1, -1, -1), (1, -1, 1, -1)))  # paths touch
 
 
+@cache
+def brute_force_watermelons(x: int, y: int, k: int) -> frozenset[tuple[tuple[int, ...], ...]]:
+    """The oracle for ``enumerate_watermelons``: every k-tuple of +-1 walks
+    of length x that ``Watermelon`` accepts, with deviation y.  Cached, as
+    the Brak-Essam oracle asks for the same floors for every e."""
+    walks = [w for w in product((1, -1), repeat=x) if sum(w) == y]
+    found = set()
+    for steps in product(walks, repeat=k):
+        try:
+            melon = Watermelon(steps)
+        except ValueError:
+            continue
+        found.add(melon.steps)
+    return frozenset(found)
+
+
+def test_watermelons_match_brute_force():
+    cases = 0
+    for x in range(7):
+        for y in range(-2, x + 3):
+            for k in (1, 2, 3):
+                melons = [m.steps for m in enumerate_watermelons(x, y, k)]
+                assert len(melons) == len(set(melons))
+                assert set(melons) == brute_force_watermelons(x, y, k), (x, y, k)
+                cases += 1
+    assert cases == 3 * sum(x + 5 for x in range(7))
+
+
 def test_watermelon_tuple_bijection():
     for (x, y, k) in ((4, 0, 1), (4, 2, 2), (6, 0, 2)):
-        melons = list(enumerate_watermelons(x, y, k))
-        tuples = {watermelon_to_tuple(m) for m in melons}
+        melons = brute_force_watermelons(x, y, k)
+        tuples = {watermelon_to_tuple(Watermelon(m)) for m in melons}
         region = watermelon_region(x, y)
         assert tuples == set(enumerate_tuples(region, k))
         for m in melons:
-            assert tuple_to_watermelon(watermelon_to_tuple(m)) == m
+            assert tuple_to_watermelon(watermelon_to_tuple(Watermelon(m))).steps == m
+
+
+def walked_brak_essam_families(x: int, y: int, k: int, e: int) -> int:
+    """The oracle for ``count_brak_essam_families``: every +-1 walk of the
+    top path's length with the right number of up steps, kept when it stays
+    at or above the axis and strictly above the (k-1)-th path of each
+    configuration of the lower k-1 paths."""
+    top_len = x - e - 1
+    top_end = y + 2 * k + e - 3
+    if top_len < 0 or (top_len + top_end - 2 * (k - 1)) % 2:
+        return 0
+    ups = (top_len + top_end - 2 * (k - 1)) // 2
+    if ups < 0 or ups > top_len:
+        return 0
+
+    def top_paths(floor_trace):
+        count = 0
+        for pattern in product((1, -1), repeat=top_len):
+            if sum(1 for v in pattern if v == 1) != ups:
+                continue
+            height = 2 * (k - 1)
+            ok = True
+            trace = [height]
+            for v in pattern:
+                height += v
+                trace.append(height)
+                if height < 0:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if floor_trace is not None and any(
+                a <= b for a, b in zip(trace, floor_trace[: top_len + 1])
+            ):
+                continue
+            count += 1
+        return count
+
+    if k == 1:
+        return top_paths(None)
+    total = 0
+    for steps in brute_force_watermelons(x, y, k - 1):
+        trace = [2 * (k - 2)]
+        height = trace[0]
+        for v in steps[-1]:
+            height += v
+            trace.append(height)
+        total += top_paths(trace)
+    return total
+
+
+def test_brak_essam_families_match_walk_oracle():
+    cases = 0
+    for x in range(9):
+        for y in range(x % 2, x + 1, 2):
+            for k in (1, 2, 3):
+                for e in range(x + 1):
+                    expected = walked_brak_essam_families(x, y, k, e)
+                    assert count_brak_essam_families(x, y, k, e) == expected, (x, y, k, e)
+                    cases += 1
+    assert cases == 465
 
 
 def test_brak_essam_small():
@@ -272,8 +364,6 @@ def test_conjecture_checkers_hold_small():
 def test_triple_distribution_counterexample_exists():
     region = find_tbl_btr_counterexample(4)
     assert region is not None
-    from pathlab.enumeration import path_distribution
-
     assert path_distribution(region, ["t", "b", "l"]) != path_distribution(
         region, ["b", "t", "r"]
     )

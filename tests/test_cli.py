@@ -165,6 +165,7 @@ def test_failure_exit_code(capsys):
         ["watermelon", "--paths", "UxUD"],  # x is not a step
         ["triangulate", "--n", "3", "--k", "2"],  # polygon too small
         ["nicolas-check", "--n", "3", "--k", "2"],
+        ["dist", "--T", "NE", "--B", "EN", "--stats", "t,b,l,r,t,b,l"],  # seven letters, six variables
     ],
 )
 def test_malformed_path_or_region_is_usage_error(capsys, argv):

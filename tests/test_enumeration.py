@@ -2,6 +2,7 @@ import random
 from itertools import product
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from pathlab.cli import main
@@ -16,7 +17,7 @@ from pathlab.enumeration import (
     path_distribution,
     poly_symmetric,
 )
-from pathlab.paths import Path, Region, contact_stats
+from pathlab.paths import Path, Region, contact_stats, parse_path
 from pathlab.polynomials import MultiPoly, parse_poly
 from pathlab.verify import all_regions
 
@@ -60,16 +61,13 @@ def test_wide_region_is_not_bounded_by_the_recursion_limit(capsys):
     assert capsys.readouterr().out.endswith("total 1201\n")
 
 
-def test_descent_class_members():
-    r = Region.from_steps("NNNEEENEE", "EENEEENNN")
-    members = {
-        p.heights
-        for p in enumerate_paths(
-            r, south_allowed=True, descent_filter={2}, h_filter=(2, 2, 3)
-        )
-    }
+def test_descent_class_members(capsys):
+    argv = ["enumerate", "--T", "NNNEEENEE", "--B", "EENEEENNN", "--south"]
+    assert main(argv + ["--descents", "2", "--heights", "2,2,3"]) == 0
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert total == "total 7"
     # two involution orbits plus the balanced fixed point
-    assert members == {
+    assert {parse_path(line).heights for line in lines} == {
         (2, 3, 2, 3, 4),
         (2, 2, 1, 3, 4),
         (2, 2, 1, 1, 3),
@@ -90,6 +88,7 @@ def test_tuple_counts():
     assert sum(1 for _ in enumerate_tuples(SMALL, 1)) == sum(
         1 for _ in enumerate_paths(SMALL)
     )
+    assert [t.paths for t in enumerate_tuples(SMALL, 0)] == [()]
 
 
 def test_distribution_polynomials_match_displays():
@@ -136,6 +135,13 @@ def test_path_distribution_matches_per_path_count():
                 assert got.variables == expected.variables
                 cases += 1
     assert cases == 94530
+
+
+def test_path_distribution_takes_one_letter_per_variable_name():
+    region = Region.from_steps("NE", "EN")
+    assert path_distribution(region, list("tblrtb")).variables == VAR_NAMES
+    with pytest.raises(ValueError):
+        path_distribution(region, list("tblrtbl"))
 
 
 def test_distribution_empty_stream():
