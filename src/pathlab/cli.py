@@ -382,6 +382,8 @@ def cmd_check_cor_ij(args) -> int:
 
 
 def cmd_check_conjectures(args) -> int:
+    if args.n < 1:
+        raise SystemExit2("--n must be at least 1")
     ok = True
     for label, checker in (("equivalences", conjecture_52_check), ("sum-dependence", conjecture_53_check)):
         for n in range(1, args.n + 1):
@@ -417,6 +419,8 @@ def cmd_verify(args) -> int:
         for name in sorted(SUITES):
             print(name)
         return 0
+    if args.max < 0:
+        raise SystemExit2("--max must be a natural number")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

@@ -7,8 +7,8 @@ whole pipeline is too.  Entries at most k+1 are called small, larger ones
 large; a large entry equal to k+r in row r is maximal.
 
 Both repairs run on mutable rows with one violation scan per move and
-freeze to a Tableau only at the API boundary; check=True runs them on
-frozen tableaux instead, as the oracle that checks each move.
+freeze to a Tableau only at the API boundary.  Every move must change the
+potential in its direction, which bounds both loops.
 """
 
 from __future__ import annotations
@@ -100,15 +100,6 @@ class Tableau:
 
     def text(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows if row)
-
-    @classmethod
-    def parse(cls, text: str, k: int) -> "Tableau":
-        rows = tuple(
-            tuple(int(v) for v in line.split())
-            for line in text.strip().splitlines()
-            if line.strip()
-        )
-        return cls(rows, k)
 
 
 def weight(t: Tableau) -> tuple[int, ...]:
@@ -285,16 +276,19 @@ def find_violations(t: Tableau) -> Violations:
     )
 
 
-def _j_step(rows: list[list[int]], r: int, c: int) -> None:
-    """The j-move in place at the minimal semistandard violation (r, c)."""
+def _j_step(rows: list[list[int]], r: int, c: int) -> int:
+    """The j-move in place at the minimal semistandard violation (r, c).
+    Returns the change of potential: swapping e with its neighbour a, above
+    or to the left, changes it by a - e."""
     row = rows[r - 1]
     e = row[c - 1]
     e_a = rows[r - 2][c - 1] if r > 1 else 0
     e_l = row[c - 2] if c > 1 else 0
     if e_l > e_a:
         row[c - 2], row[c - 1] = e, e_l
-    else:
-        rows[r - 2][c - 1], row[c - 1] = e, e_a
+        return e_l - e
+    rows[r - 2][c - 1], row[c - 1] = e, e_a
+    return e_a - e
 
 
 def _j_inv_step(rows: list[list[int]], r: int, c: int, k: int) -> int:
@@ -400,101 +394,49 @@ def expected_weight(pt: PathTuple) -> tuple[int, ...]:
     return tuple(lam1 - h for h in h_stats(pt)) + u_stats(pt)
 
 
-def psi(pt: PathTuple, check: bool = False) -> Tableau:
+def psi(pt: PathTuple) -> Tableau:
     """Repair the direct filling into a flagged semistandard tableau by
     repeated j-moves at the minimal semistandard violation; weight is
     preserved throughout.
 
     The repair scans once per move on mutable rows and freezes them to a
-    Tableau only when done.  With check=True it runs the oracle instead,
-    which makes each move on frozen tableaux and checks what the paper
-    claims about it.
+    Tableau only when done.  Each j-move must raise the potential.
     """
     t = tab_of_tuple(pt)
     w = weight(t)
-    if check:
-        while True:
-            v = find_violations(t)
-            if v.minimal is None:
-                break
-            t = _checked_j_move(t, v)
-    else:
-        k = t.k
-        rows = [list(row) for row in t.rows]
-        while True:
-            ssv, _ = _violations(rows, k)
-            if not ssv:
-                break
-            _j_step(rows, *_select(rows, ssv, 1, "minimal semistandard violation"))
-        t = Tableau(rows, k)
+    k = t.k
+    rows = [list(row) for row in t.rows]
+    while True:
+        ssv, _ = _violations(rows, k)
+        if not ssv:
+            break
+        r, c = _select(rows, ssv, 1, "minimal semistandard violation")
+        if _j_step(rows, r, c) <= 0:
+            raise InvariantError("j-move must raise the potential")
+    t = Tableau(rows, k)
     if weight(t) != w:
         raise InvariantError("psi changed the weight")
-    if check and not is_flagged_ssyt(t):
-        raise InvariantError("psi image is not a flagged semistandard tableau")
     return t
 
 
-def _checked_j_move(t: Tableau, v: Violations) -> Tableau:
-    r, c = v.minimal
-    e = t.rows[r - 1][c - 1]
-
-    def pv_at_least(tab: Tableau, bound: int) -> set[Cell]:
-        found = find_violations(tab)
-        return {
-            cell for cell in found.path if tab.rows[cell[0] - 1][cell[1] - 1] >= bound
-        }
-
-    before = pv_at_least(t, e)
-    new = j_move(t)
-    moved_to = next(
-        cell
-        for cell in ((r - 1, c), (r, c - 1))
-        if new.entry(*cell) == e and t.entry(*cell) != e
-    )
-    if potential(new) <= potential(t):
-        raise InvariantError("j-move must raise the potential")
-    if perflagged_violations(new):
-        raise InvariantError("j-move left the perflagged tableaux")
-    after_v = find_violations(new)
-    if pv_at_least(new, e) - before != {moved_to}:
-        raise InvariantError("j-move must add exactly one path violation of entry >= e")
-    if after_v.maximal != moved_to:
-        raise InvariantError("j-move must leave the moved entry as the maximal path violation")
-    return new
-
-
-def psi_inv(t: Tableau, check: bool = False) -> PathTuple:
+def psi_inv(t: Tableau) -> PathTuple:
     """Inverse repair: undo local moves at the maximal path violation until
     the direct filling reappears, then read the paths off its columns.
 
-    Like psi, it scans once per move on mutable rows, and each move must
-    lower the potential; check=True runs the oracle instead, on frozen
-    tableaux, recomputing the potential and checking every step stays
-    perflagged.
+    Like psi, it scans once per move on mutable rows; each move must lower
+    the potential, and the number of moves is capped.
     """
     k = t.k
     cells = sum(len(r) for r in t.rows)
     cap = (len(t.rows) + t.shape.width) * (k + len(t.rows)) * max(cells, 1)
-    if check:
-        for _ in range(cap + 1):
-            v = find_violations(t)
-            if v.maximal is None:
-                return tuple_of_tab(t)
-            new = j_inv_move(t)
-            if potential(new) >= potential(t):
-                raise InvariantError("inverse move must lower the potential")
-            if perflagged_violations(new):
-                raise InvariantError("inverse move left the perflagged tableaux")
-            t = new
-    else:
-        rows = [list(row) for row in t.rows]
-        for _ in range(cap + 1):
-            _, pv = _violations(rows, k)
-            if not pv:
-                return _tuple_of_rows(rows, k)
-            r, c = _select(rows, pv, -1, "maximal path violation")
-            if _j_inv_step(rows, r, c, k) >= 0:
-                raise InvariantError("inverse move must lower the potential")
+    rows = [list(row) for row in t.rows]
+    for _ in range(cap + 1):
+        _, pv = _violations(rows, k)
+        if not pv:
+            return _tuple_of_rows(rows, k)
+        r, c = _select(rows, pv, -1, "maximal path violation")
+        if _j_inv_step(rows, r, c, k) >= 0:
+            raise InvariantError("inverse move must lower the potential")
     raise InvariantError("inverse move iteration exceeded its bound")
 
 

@@ -65,9 +65,6 @@ class Triangulation:
     k: int
     diagonals: frozenset[Diagonal]
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return degree_sequence(self)
-
 
 def degree_sequence(t: Triangulation) -> tuple[int, ...]:
     """Entry i counts neighbours of vertex i among the later vertices, for

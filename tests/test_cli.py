@@ -196,6 +196,9 @@ def test_unknown_stat_is_usage_error(capsys):
         ["enumerate", "--T", "NNEE", "--B", "ENEN", "--k", "-1"],
         ["perm"],  # neither --to-path nor --from-path
         ["count-ab", "--case", "1", "--params", "1,2"],  # two of three parameters
+        ["verify", "--max", "-5", "--suite", "switch-words"],  # a sweep of nothing
+        ["check-conjectures", "--n", "0"],
+        ["check-conjectures", "--n", "-1"],
     ],
 )
 def test_bad_verb_input_is_usage_error(capsys, argv):

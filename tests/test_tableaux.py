@@ -23,6 +23,7 @@ from pathlab.tableaux import (
     j_inv_move,
     j_move,
     perflagged_violations,
+    potential,
     psi,
     psi_inv,
     region_of_shape,
@@ -55,6 +56,66 @@ WIDE_TRIPLE = PathTuple(
         Path((0, 1, 2, 4, 4, 5), 5),
     ),
 )
+
+
+def path_violations_at_least(t: Tableau, v, bound: int) -> set:
+    return {cell for cell in v.path if t.rows[cell[0] - 1][cell[1] - 1] >= bound}
+
+
+def psi_walk(pt: PathTuple) -> list[Tableau]:
+    """psi by public j-moves from the direct filling, checking at every move
+    what the paper claims of it; returns every tableau visited, the image
+    last."""
+    steps = [tab_of_tuple(pt)]
+    while True:
+        t = steps[-1]
+        v = find_violations(t)
+        if v.minimal is None:
+            break
+        r, c = v.minimal
+        e = t.rows[r - 1][c - 1]
+        new = j_move(t)
+        moved_to = next(
+            cell
+            for cell in ((r - 1, c), (r, c - 1))
+            if new.entry(*cell) == e and t.entry(*cell) != e
+        )
+        assert potential(new) > potential(t), "j-move must raise the potential"
+        assert is_perflagged(new), "j-move left the perflagged tableaux"
+        after = find_violations(new)
+        assert path_violations_at_least(new, after, e) - path_violations_at_least(t, v, e) == {
+            moved_to
+        }, "j-move must add exactly one path violation of entry >= e"
+        assert after.maximal == moved_to, "the moved entry must be the maximal path violation"
+        steps.append(new)
+    assert is_flagged_ssyt(steps[-1]), "psi image is not a flagged semistandard tableau"
+    return steps
+
+
+def psi_inv_walk(tab: Tableau) -> list[Tableau]:
+    """psi_inv by public inverse moves down to the direct filling, checking
+    every move; returns every tableau visited, the direct filling last."""
+    steps = [tab]
+    while find_violations(steps[-1]).maximal is not None:
+        t = steps[-1]
+        new = j_inv_move(t)
+        assert potential(new) < potential(t), "inverse move must lower the potential"
+        assert is_perflagged(new), "inverse move left the perflagged tableaux"
+        steps.append(new)
+    return steps
+
+
+def checked_round_trip(pt: PathTuple) -> tuple[Tableau, list[Tableau]]:
+    """psi and psi_inv of the tuple, each against its checked walk; returns
+    psi's image and the tableaux of the forward walk, which the inverse walk
+    retraces."""
+    tab = psi(pt)
+    forward = psi_walk(pt)
+    backward = psi_inv_walk(tab)
+    assert forward[-1] == tab
+    assert backward == forward[::-1]  # every arrow reverses
+    assert psi_inv(tab) == tuple_of_tab(backward[-1]) == pt
+    return tab, forward
 
 
 def test_shape_from_region():
@@ -130,10 +191,9 @@ def test_violation_pipeline_pinned():
     s4 = j_move(s3)
     assert s4.rows == ((1, 2, 2, 2), (2, 3, 4, 5), (3, 4, 5), (6, 7))
     assert is_flagged_ssyt(s4)
-    assert psi(TRIPLE, check=True) == s4
-    # every arrow reverses
-    for before, after in ((s0, s1), (s1, s2), (s2, s3), (s3, s4)):
-        assert j_inv_move(after) == before
+    tab, steps = checked_round_trip(TRIPLE)
+    assert tab == s4
+    assert steps == [s0, s1, s2, s3, s4]
 
 
 def test_j_move_inline_example():
@@ -153,7 +213,7 @@ def test_j_moves_require_violations():
 
 
 def test_psi_pinned_wide_instance():
-    tab = psi(WIDE_TRIPLE, check=True)
+    tab, _ = checked_round_trip(WIDE_TRIPLE)
     assert tab.rows == (
         (1, 1, 2, 2, 3, 4),
         (2, 3, 3, 4),
@@ -162,7 +222,6 @@ def test_psi_pinned_wide_instance():
         (8,),
     )
     assert weight(tab) == (2, 3, 3, 3, 2, 2, 1, 1)
-    assert psi_inv(tab, check=True) == WIDE_TRIPLE
 
 
 def test_psi_bijection_small_sweep():
@@ -172,9 +231,8 @@ def test_psi_bijection_small_sweep():
             tuples = list(enumerate_tuples(region, k))
             images = set()
             for t in tuples:
-                tab = psi(t, check=True)
+                tab, _ = checked_round_trip(t)
                 assert weight(tab) == expected_weight(t)
-                assert psi_inv(tab, check=True) == t
                 images.add(tab)
             assert images == set(enumerate_flagged_ssyt(shape, k))
 
@@ -240,9 +298,8 @@ def test_bijection_handles_empty_bottom_rows():
     tuples = list(enumerate_tuples(region, 2))
     images = set()
     for t in tuples:
-        tab = psi(t, check=True)
+        tab, _ = checked_round_trip(t)
         assert weight(tab) == expected_weight(t)
-        assert psi_inv(tab, check=True) == t
         images.add(tab)
     assert len(images) == len(tuples) == len(set(enumerate_flagged_ssyt(shape, 2)))
 
@@ -299,23 +356,10 @@ DIFFERENTIAL_SWEEP = [(3, k) for k in (1, 2, 3)] + [(4, k) for k in (1, 2)]
 def test_repairs_match_oracle_and_definition(box, k):
     for shape in shapes_in_box(box):
         for t in enumerate_tuples(region_of_shape(shape), k):
-            tab = psi(t)
-            assert tab == psi(t, check=True)
-            assert psi_inv(tab) == psi_inv(tab, check=True) == t
+            _, steps = checked_round_trip(t)
             # every tableau both repairs pass through, in either direction
-            step = tab_of_tuple(t)
-            while True:
+            for step in steps:
                 assert_scan_matches_definition(step)
-                if find_violations(step).minimal is None:
-                    break
-                step = j_move(step)
-            assert step == tab
-            while True:
-                assert_scan_matches_definition(step)
-                if find_violations(step).maximal is None:
-                    break
-                step = j_inv_move(step)
-            assert step == tab_of_tuple(t)
 
 
 OPTIMIZED_CHECK = """
@@ -328,16 +372,35 @@ if not sys.flags.optimize:
 result = check_tableau_bijection(2, 2)
 if not result.ok:
     sys.exit(result.line())
+
+
+def expect_raise(call, fault):
+    try:
+        call()
+    except InvariantError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit(f"accepted {fault}")
+
+
+# a tuple whose repair makes at least one move in each direction
+region = tableaux.region_of_shape(tableaux.YoungShape((2, 2)))
+pt = next(
+    t for t in enumerate_tuples(region, 1)
+    if tableaux.find_violations(tableaux.tab_of_tuple(t)).minimal is not None
+)
+tab = tableaux.psi(pt)
 exact = tableaux.weight
 shifts = itertools.count()
 tableaux.weight = lambda t: tuple(v + next(shifts) for v in exact(t))
-pt = next(enumerate_tuples(tableaux.region_of_shape(tableaux.YoungShape((2, 1))), 1))
-try:
-    tableaux.psi(pt)
-except InvariantError as exc:
-    print("raised:", exc)
-else:
-    sys.exit("psi accepted a changed weight")
+expect_raise(lambda: tableaux.psi(pt), "a changed weight")
+tableaux.weight = exact
+j_step = tableaux._j_step
+tableaux._j_step = lambda rows, r, c: 0
+expect_raise(lambda: tableaux.psi(pt), "a j-move that leaves the rows alone")
+tableaux._j_step = j_step
+tableaux._j_inv_step = lambda rows, r, c, k: 0
+expect_raise(lambda: tableaux.psi_inv(tab), "an inverse move that leaves the rows alone")
 """
 
 
@@ -352,4 +415,8 @@ def test_tableau_checks_survive_optimized_mode():
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: psi changed the weight")
+    assert done.stdout.splitlines() == [
+        "raised: psi changed the weight",
+        "raised: j-move must raise the potential",
+        "raised: inverse move must lower the potential",
+    ]

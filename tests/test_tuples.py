@@ -1,9 +1,10 @@
+import random
 from itertools import permutations
 
 import pytest
 
-from pathlab.enumeration import distribution, enumerate_tuples
-from pathlab.paths import Path, Region, parse_path
+from pathlab.enumeration import distribution, enumerate_paths, enumerate_tuples
+from pathlab.paths import Path, Region, contact_stats, descent_set, noncontact_heights, parse_path
 from pathlab.tuples import (
     PathTuple,
     apply_perm_h,
@@ -13,6 +14,7 @@ from pathlab.tuples import (
     u_stats,
     v_stats,
 )
+from pathlab.verify import _symmetric, all_regions
 
 # a wide region and a pinned pair of paths inside it
 WIDE = Region.from_steps("NNENEENENENENEEEE", "EEENENEENENNEENEN")
@@ -151,3 +153,51 @@ def test_h_symmetry_invariant_full_scale():
 
     result = check_tuple_symmetry(8, 3)
     assert result.ok, result.counterexample
+
+
+def symmetric_by_every_permutation(dist):
+    """The reference for verify._symmetric: every permutation of each
+    exponent vector in the support has its count."""
+    return all(
+        dist.get(tuple(exp[i] for i in perm), 0) == count
+        for exp, count in dist.items()
+        for perm in permutations(range(len(exp)))
+    )
+
+
+def sweep_class_dicts(max_semi):
+    """The class distributions the contact-involution and tuple-symmetry
+    sweeps test, over every region with x + y at most the bound."""
+    for region in all_regions(max_semi):
+        classes = {}
+        for p in enumerate_paths(region, south_allowed=True):
+            st = contact_stats(region, p)
+            dist = classes.setdefault((descent_set(p), noncontact_heights(region, p)), {})
+            dist[(st.t, st.b)] = dist.get((st.t, st.b), 0) + 1
+        for k in (1, 2, 3):
+            for t in enumerate_tuples(region, k):
+                dist = classes.setdefault((k, u_stats(t)), {})
+                dist[h_stats(t)] = dist.get(h_stats(t), 0) + 1
+        yield from classes.values()
+
+
+def test_adjacent_swap_symmetry_matches_every_permutation():
+    rng = random.Random(8)
+    dicts = []
+    for _ in range(5000):
+        length = rng.randint(0, 4)
+        dist = {}
+        for _ in range(rng.randint(0, 5)):
+            exp = tuple(rng.randint(0, 2) for _ in range(length))
+            count = rng.randint(1, 3)
+            # whole orbits as well as single vectors, so both answers occur
+            for image in set(permutations(exp)) if rng.random() < 0.7 else [exp]:
+                dist[image] = count
+        dicts.append(dist)
+    for dist in sweep_class_dicts(4):
+        dicts.append(dist)
+        dicts.append(dict(list(dist.items())[1:]))  # one count dropped
+    answers = [symmetric_by_every_permutation(dist) for dist in dicts]
+    assert True in answers and False in answers
+    for dist, answer in zip(dicts, answers):
+        assert _symmetric(dist) == answer, dist
