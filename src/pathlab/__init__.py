@@ -25,12 +25,13 @@ from .enumeration import (
     path_distribution,
     poly_symmetric,
 )
-from .tuples import PathTuple, apply_perm_h, bltr_tuple_bijection, h_stats, transpose_h, u_stats, v_stats
+from .tuples import PathTuple, apply_perm_h, h_stats, transpose_h, u_stats, v_stats
 from .matroids import (
     BasesOracle,
     LinearOrder,
     activities,
     bltr_single_path,
+    bltr_tuple_bijection,
     lpm_oracle,
     natural_order,
     phi_xy,

@@ -4,11 +4,18 @@ finite conjecture checkers."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .enumeration import _height_sequences, enumerate_paths, enumerate_tuples, path_distribution
+from .enumeration import (
+    _height_sequences,
+    all_regions,
+    enumerate_paths,
+    enumerate_tuples,
+    path_distribution,
+)
 from .paths import InvariantError, Path, Region
 from .swaps import contact_word
 from .tuples import PathTuple
@@ -302,6 +309,12 @@ def tuple_to_watermelon(pt: PathTuple) -> Watermelon:
     y = region.y - region.x
     if y < 0 or region != watermelon_region(x, y):
         raise ValueError("region does not arise from a watermelon configuration")
+    return _walks(pt)
+
+
+def _walks(pt: PathTuple) -> Watermelon:
+    """Norths become up steps and easts down steps; the first path of the
+    tuple becomes the top path of the configuration."""
     steps = []
     for p in reversed(pt.paths):
         walk = []
@@ -320,62 +333,49 @@ def enumerate_watermelons(x: int, y: int, k: int):
     bijection off the weakly nested k-tuples of ``watermelon_region``."""
     if (x + y) % 2 or not 0 <= y <= x:
         return
-    for pt in enumerate_tuples(watermelon_region(x, y), k):
-        yield tuple_to_watermelon(pt)
+    yield from map(_walks, enumerate_tuples(watermelon_region(x, y), k))
 
 
-def count_brak_essam_families(x: int, y: int, k: int, e: int) -> int:
-    """Families whose lower k-1 paths form a configuration of the full
-    length while the top path, from (0, 2k-2), stops at (x-e-1, y+2k+e-3),
-    all disjoint.
+def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(returns distribution, truncated-family counts) for every e.
 
-    For each configuration of the lower paths the top walks are counted
-    column by column, as a map from height to the number of walks ending
-    there.  A step goes to h - 1 or h + 1 and must stay strictly above the
-    (k-1)-th path's trace, or at or above the axis where there is none.
+    The family for e has the lower k-1 paths forming a configuration of the
+    full length while the top path, from (0, 2k-2), stops at
+    (x-e-1, y+2k+e-3), all disjoint.  For each configuration of the lower
+    paths the top walks are counted column by column, as a map from height
+    to the number of walks ending there; after i steps the map holds the
+    walks of the family for e = x-1-i.  A step goes to h - 1 or h + 1 and
+    must stay strictly above the (k-1)-th path's trace, or at or above the
+    axis where there is none.
     """
-    top_len = x - e - 1
-    top_end = y + 2 * k + e - 3
-    if top_len < 0:
-        return 0
+    lhs = dict(Counter(melon.returns() for melon in enumerate_watermelons(x, y, k)))
     if k == 1:
-        floors = [()]
+        floors = [(-1,) * x]
     else:
         floors = [
             tuple(accumulate(melon.steps[-1], initial=2 * (k - 2)))
             for melon in enumerate_watermelons(x, y, k - 1)
         ]
-    total = 0
+    families = [0] * x
     for floor in floors:
         counts = {2 * (k - 1): 1}
-        for i in range(1, top_len + 1):
-            low = floor[i] if i < len(floor) else -1
-            nxt: dict[int, int] = {}
-            for h, count in counts.items():
-                for v in (h - 1, h + 1):
-                    if v > low:
-                        nxt[v] = nxt.get(v, 0) + count
-            counts = nxt
-        total += counts.get(top_end, 0)
-    return total
-
-
-def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(returns distribution, truncated-family counts) for every e."""
-    lhs: dict[int, int] = {}
-    for melon in enumerate_watermelons(x, y, k):
-        lhs[melon.returns()] = lhs.get(melon.returns(), 0) + 1
-    rhs = {e: count_brak_essam_families(x, y, k, e) for e in range(0, x + 1)}
-    rhs = {e: v for e, v in rhs.items() if v}
-    return lhs, rhs
+        for i in range(x):
+            if i:
+                nxt: dict[int, int] = {}
+                for h, count in counts.items():
+                    for v in (h - 1, h + 1):
+                        if v > floor[i]:
+                            nxt[v] = nxt.get(v, 0) + count
+                counts = nxt
+            e = x - 1 - i
+            families[e] += counts.get(y + 2 * k + e - 3, 0)
+    return lhs, {e: count for e, count in enumerate(families) if count}
 
 
 def find_tbl_btr_counterexample(max_semi: int) -> Region | None:
     """First region where the triple distributions (t, b, l) and (b, t, r)
     differ; None if the sweep finds none.  The involution machinery only
     exchanges the pair, so small counterexamples to the triple exist."""
-    from .verify import all_regions
-
     for region in all_regions(max_semi):
         lhs = path_distribution(region, ["t", "b", "l"])
         rhs = path_distribution(region, ["b", "t", "r"])

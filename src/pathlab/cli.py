@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from operator import itemgetter
 
 from .applications import (
     IJReport,
@@ -297,19 +298,12 @@ def cmd_ktuple_dist(args) -> int:
     k = args.k
     if k < 1:
         raise SystemExit2("--k must be at least 1")
-    stats = []
-    if args.stats == "h":
-        stats = [(f"x{i}", lambda t, i=i: h_stats(t)[i]) for i in range(k + 1)]
-    elif args.stats == "v":
-        stats = [(f"x{i}", lambda t, i=i: v_stats(t)[i]) for i in range(k + 1)]
-    elif args.stats == "u":
-        stats = [
-            (f"x{s}", lambda t, s=s: u_stats(t)[s - 1])
-            for s in range(1, region.y)
-        ]
+    if args.stats == "u":
+        stat, first, size = u_stats, 1, region.y - 1
     else:
-        raise SystemExit2("stats must be one of h, v, u")
-    poly = distribution(enumerate_tuples(region, k), stats)
+        stat, first, size = (h_stats if args.stats == "h" else v_stats), 0, k + 1
+    stats = [(f"x{first + i}", itemgetter(i)) for i in range(size)]
+    poly = distribution(map(stat, enumerate_tuples(region, k)), stats)
     print(poly.to_json() if args.format == "json" else poly)
     return 0
 
@@ -419,8 +413,8 @@ def cmd_verify(args) -> int:
         for name in sorted(SUITES):
             print(name)
         return 0
-    if args.max < 0:
-        raise SystemExit2("--max must be a natural number")
+    if args.max < 1:
+        raise SystemExit2("--max must be at least 1")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

@@ -35,6 +35,17 @@ def enumerate_paths(region: Region, south_allowed: bool = False) -> Iterator[Pat
         yield Path(heights, y)
 
 
+def all_regions(max_semi: int) -> Iterator[Region]:
+    """Every boundary pair with x + y at most the bound."""
+    for total in range(0, max_semi + 1):
+        for x in range(0, total + 1):
+            paths = list(enumerate_paths(Region.rectangle(x, total - x)))
+            for top in paths:
+                for bottom in paths:
+                    if all(t >= b for t, b in zip(top.heights, bottom.heights)):
+                        yield Region(top, bottom)
+
+
 def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Weakly increasing sequences h with lo[i] <= h[i] <= hi[i], in
     lexicographic order.

@@ -24,6 +24,7 @@ from .paths import (
     path_from_north_set,
 )
 from .polynomials import MultiPoly
+from .tuples import PathTuple, _inner_region, _replace, bubble_swaps, h_stats, v_stats
 
 
 @dataclass(frozen=True)
@@ -245,24 +246,6 @@ def phi_xy(
     return base
 
 
-def bubble_steps(from_order: LinearOrder, to_order: LinearOrder):
-    """Adjacent transpositions taking one order to the other, always fixing
-    the leftmost out-of-place pair (bubble sort on the target ranking)."""
-    target = {e: p for p, e in enumerate(to_order.ranking)}
-    cur = list(from_order.ranking)
-    steps = []
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(cur) - 1):
-            if target[cur[p]] > target[cur[p + 1]]:
-                steps.append((cur[p], cur[p + 1]))
-                cur[p], cur[p + 1] = cur[p + 1], cur[p]
-                changed = True
-                break
-    return steps
-
-
 def reorder_bijection(
     oracle: BasesOracle,
     from_order: LinearOrder,
@@ -274,7 +257,8 @@ def reorder_bijection(
     original activities with respect to the source order."""
     cur_order = from_order
     cur_base = base
-    for x, y in bubble_steps(from_order, to_order):
+    for p in bubble_swaps(from_order.ranking, to_order.rank_of):
+        x, y = cur_order.ranking[p], cur_order.ranking[p + 1]
         cur_base = phi_xy(oracle, cur_order, x, y, cur_base)
         cur_order = cur_order.transpose_adjacent(x, y)
     if cur_order != to_order:
@@ -329,3 +313,16 @@ def bltr_single_path(region: Region, path: Path) -> Path:
     base = north_index_set(path)
     image = reorder_bijection(oracle, natural_order(m), reversed_order(m), base)
     return path_from_north_set(region.x, region.y, image)
+
+
+def bltr_tuple_bijection(t: PathTuple) -> PathTuple:
+    """Map tuples with bottom/left contacts (e, f) to tuples with top/right
+    contacts (e, f), sweeping the single-path bijection up then down."""
+    b_in, l_in = h_stats(t)[-1], v_stats(t)[0]
+    image = t
+    for i in [*range(t.k, 0, -1), *range(2, t.k + 1)]:
+        local = _inner_region(image, i)
+        image = _replace(image, i, bltr_single_path(local, image.paths[i - 1]))
+    if not (h_stats(image)[0] == b_in and v_stats(image)[-1] == l_in):
+        raise InvariantError("the sweep did not carry (b, l) to (t, r)")
+    return image

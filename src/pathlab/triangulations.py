@@ -3,6 +3,7 @@ degree sequences, and the determinant that predicts their number."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -149,20 +150,11 @@ def nicolas_check(n: int, k: int) -> NicolasReport:
     tuples = list(enumerate_tuples(region, k))
     tris = list(enumerate_k_triangulations(n, k))
 
-    tri_full: dict[tuple[int, ...], int] = {}
-    tri_window: dict[tuple[int, ...], int] = {}
-    for t in tris:
-        d = degree_sequence(t)
-        tri_full[d] = tri_full.get(d, 0) + 1
-        tri_window[d[:k]] = tri_window.get(d[:k], 0) + 1
-
-    tup_full: dict[tuple[int, ...], int] = {}
-    tup_window: dict[tuple[int, ...], int] = {}
-    for pt in tuples:
-        d = degrees_from_tuple(pt, n, k)
-        tup_full[d] = tup_full.get(d, 0) + 1
-        h = h_stats(pt)
-        tup_window[tuple(h[:k])] = tup_window.get(tuple(h[:k]), 0) + 1
+    tri_degrees = [degree_sequence(t) for t in tris]
+    tri_full = Counter(tri_degrees)
+    tri_window = Counter(d[:k] for d in tri_degrees)
+    tup_full = Counter(degrees_from_tuple(pt, n, k) for pt in tuples)
+    tup_window = Counter(h_stats(pt)[:k] for pt in tuples)
 
     return NicolasReport(
         n,

@@ -100,48 +100,38 @@ def transpose_h(t: PathTuple, i: int) -> PathTuple:
     return image
 
 
+def bubble_swaps(items, rank) -> list[int]:
+    """Positions p of the adjacent swaps (entries p and p+1) that sort
+    ``items`` by ``rank[item]``, each swapping the leftmost pair out of
+    order."""
+    cur = list(items)
+    out = []
+    p = 0
+    while p < len(cur) - 1:
+        if rank[cur[p]] > rank[cur[p + 1]]:
+            cur[p], cur[p + 1] = cur[p + 1], cur[p]
+            out.append(p)
+            p = max(p - 1, 0)
+        else:
+            p += 1
+    return out
+
+
 def apply_perm_h(t: PathTuple, perm) -> PathTuple:
     """Compose adjacent transpositions so that the image's coincidence
     vector is the original one permuted by ``perm``.
 
     ``perm`` lists, for each slot j in 0..k, the index of the original entry
-    that should end up there.  The factorization is bubble sort, always
-    swapping the leftmost out-of-order adjacent pair.
+    that should end up there.  The factorization is ``bubble_swaps``.
     """
     perm = tuple(perm)
-    k = t.k
-    if sorted(perm) != list(range(k + 1)):
+    if sorted(perm) != list(range(t.k + 1)):
         raise ValueError("perm must be a permutation of 0..k")
     original = h_stats(t)
     target = {idx: pos for pos, idx in enumerate(perm)}
-    cur = list(range(k + 1))
     image = t
-    while True:
-        for j in range(k):
-            if target[cur[j]] > target[cur[j + 1]]:
-                image = transpose_h(image, j + 1)
-                cur[j], cur[j + 1] = cur[j + 1], cur[j]
-                break
-        else:
-            break
+    for p in bubble_swaps(range(t.k + 1), target):
+        image = transpose_h(image, p + 1)
     if h_stats(image) != tuple(original[i] for i in perm):
         raise InvariantError("composed transpositions did not permute the coincidence vector")
-    return image
-
-
-def bltr_tuple_bijection(t: PathTuple) -> PathTuple:
-    """Map tuples with bottom/left contacts (e, f) to tuples with top/right
-    contacts (e, f), sweeping the single-path bijection up then down."""
-    from .matroids import bltr_single_path
-
-    b_in, l_in = h_stats(t)[-1], v_stats(t)[0]
-    image = t
-    for i in range(t.k, 0, -1):
-        local = _inner_region(image, i)
-        image = _replace(image, i, bltr_single_path(local, image.paths[i - 1]))
-    for i in range(2, t.k + 1):
-        local = _inner_region(image, i)
-        image = _replace(image, i, bltr_single_path(local, image.paths[i - 1]))
-    if not (h_stats(image)[0] == b_in and v_stats(image)[-1] == l_in):
-        raise InvariantError("the sweep did not carry (b, l) to (t, r)")
     return image

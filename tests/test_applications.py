@@ -15,7 +15,6 @@ from pathlab.applications import (
     conjecture_52_check,
     conjecture_53_check,
     contact_formula_count,
-    count_brak_essam_families,
     corollary_ij_check,
     dyck_region,
     easy_bottom_count,
@@ -254,10 +253,10 @@ def test_watermelon_tuple_bijection():
 
 
 def walked_brak_essam_families(x: int, y: int, k: int, e: int) -> int:
-    """The oracle for ``count_brak_essam_families``: every +-1 walk of the
-    top path's length with the right number of up steps, kept when it stays
-    at or above the axis and strictly above the (k-1)-th path of each
-    configuration of the lower k-1 paths."""
+    """The oracle for the truncated-family counts of ``brak_essam_counts``:
+    every +-1 walk of the top path's length with the right number of up
+    steps, kept when it stays at or above the axis and strictly above the
+    (k-1)-th path of each configuration of the lower k-1 paths."""
     top_len = x - e - 1
     top_end = y + 2 * k + e - 3
     if top_len < 0 or (top_len + top_end - 2 * (k - 1)) % 2:
@@ -307,9 +306,10 @@ def test_brak_essam_families_match_walk_oracle():
     for x in range(9):
         for y in range(x % 2, x + 1, 2):
             for k in (1, 2, 3):
+                families = brak_essam_counts(x, y, k)[1]
                 for e in range(x + 1):
                     expected = walked_brak_essam_families(x, y, k, e)
-                    assert count_brak_essam_families(x, y, k, e) == expected, (x, y, k, e)
+                    assert families.get(e, 0) == expected, (x, y, k, e)
                     cases += 1
     assert cases == 465
 

@@ -199,6 +199,7 @@ def test_unknown_stat_is_usage_error(capsys):
         ["verify", "--max", "-5", "--suite", "switch-words"],  # a sweep of nothing
         ["check-conjectures", "--n", "0"],
         ["check-conjectures", "--n", "-1"],
+        ["verify", "--max", "0", "--suite", "watermelons"],
     ],
 )
 def test_bad_verb_input_is_usage_error(capsys, argv):

@@ -5,10 +5,10 @@ import pytest
 
 from pathlab.enumeration import distribution, enumerate_paths, enumerate_tuples
 from pathlab.paths import Path, Region, contact_stats, descent_set, noncontact_heights, parse_path
+from pathlab.matroids import bltr_tuple_bijection
 from pathlab.tuples import (
     PathTuple,
     apply_perm_h,
-    bltr_tuple_bijection,
     h_stats,
     transpose_h,
     u_stats,
