@@ -268,9 +268,10 @@ def cmd_activities(args) -> int:
     oracle = lpm_oracle(region)
     if args.path:
         base = north_index_set(parse_path(args.path))
-    elif args.base:
+    elif args.base is not None:
         try:
-            base = frozenset(int(v) for v in args.base.split(","))
+            values = args.base.split(",") if args.base else []
+            base = frozenset(int(v) for v in values)
         except ValueError:
             raise SystemExit2(f"base must be comma-separated integers, not {args.base!r}") from None
     else:

@@ -9,10 +9,11 @@ instantiations used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
-from .enumeration import enumerate_paths
+from .enumeration import _height_sequences
 from .paths import (
     InvariantError,
     Path,
@@ -31,7 +32,9 @@ from .tuples import PathTuple, _inner_region, _replace, bubble_swaps, h_stats, v
 class BasesOracle:
     """A matroid on the ground set 1..ground_size, given by a test for its
     bases.  ``bases`` lists them by filtering every rank-sized subset, in
-    lexicographic order of their sorted elements."""
+    lexicographic order of their sorted elements; ``base_bits`` lists them
+    as bit masks (bit e set for element e), and ``masks`` holds their
+    ``exchange_masks``, built on first use and kept with the oracle."""
 
     ground_size: int
     rank: int
@@ -44,16 +47,39 @@ class BasesOracle:
             if self.is_base(frozenset(c))
         ]
 
+    def base_bits(self) -> list[int]:
+        return [sum(1 << e for e in base) for base in self.bases()]
+
+    @cached_property
+    def masks(self) -> list[tuple[int, list[int]]]:
+        return exchange_masks(self.base_bits(), self.ground_size)
+
 
 @dataclass(frozen=True)
 class _PathMatroidOracle(BasesOracle):
-    """A lattice path matroid, which lists its bases from the paths of its
-    region instead of filtering every subset."""
+    """A lattice path matroid, which lists its bases from the height
+    sequences of its region instead of filtering every subset."""
 
     region: Region
 
+    def base_bits(self) -> list[int]:
+        """The bases in lexicographic height order.  Column i (from 1) of a
+        path at height h holds the east step at position i + h; every other
+        position is a north step."""
+        full = (1 << self.ground_size + 1) - 2
+        return [
+            full - sum(1 << i + h for i, h in enumerate(heights, 1))
+            for heights in _height_sequences(self.region.b_heights, self.region.t_heights)
+        ]
+
     def bases(self) -> list[frozenset[int]]:
-        return sorted((north_index_set(p) for p in enumerate_paths(self.region)), key=sorted)
+        """``base_bits`` decoded in reverse, which is the lexicographic order
+        of north-step sets: where two paths first differ, the higher one
+        takes a north step where the lower takes an east step."""
+        ground = range(1, self.ground_size + 1)
+        return [
+            frozenset(e for e in ground if bits >> e & 1) for bits in reversed(self.base_bits())
+        ]
 
 
 @dataclass(frozen=True)
@@ -154,26 +180,31 @@ def activities(
     return len(internal), len(external)
 
 
-def exchange_masks(bases: list[frozenset[int]], m: int) -> list[tuple[int, list[int]]]:
-    """For each base B over the ground set 1..m, its bit mask and, for each
-    ground element e, the bit mask of the elements f such that exchanging e
-    and f (one in B, the other not) gives another listed base.
+def exchange_masks(encoded: list[int], m: int) -> list[tuple[int, list[int]]]:
+    """For each base over the ground set 1..m, given as a bit mask (bit e
+    set for element e), that mask and, for each ground element e, the bit
+    mask of the elements f such that exchanging e and f (one in the base,
+    the other not) gives another listed base.
 
     The list must hold every base of the matroid: ``activity_terms`` then
     reads activities under any order off these masks alone.
     """
-    encoded = [sum(1 << e for e in base) for base in bases]
     listed = set(encoded)
+    bit = [1 << e for e in range(m + 1)]
+    ground = range(1, m + 1)
     out = []
     for bits in encoded:
         masks = [0] * (m + 1)
-        inside = [e for e in range(1, m + 1) if bits >> e & 1]
-        outside = [f for f in range(1, m + 1) if not bits >> f & 1]
+        inside = [e for e in ground if bits & bit[e]]
+        outside = [f for f in ground if not bits & bit[f]]
         for e in inside:
+            without = bits ^ bit[e]
+            partners = 0
             for f in outside:
-                if bits ^ (1 << e | 1 << f) in listed:
-                    masks[e] |= 1 << f
-                    masks[f] |= 1 << e
+                if without | bit[f] in listed:
+                    partners |= bit[f]
+                    masks[f] |= bit[e]
+            masks[e] = partners
         out.append((bits, masks))
     return out
 
@@ -205,11 +236,10 @@ def activity_terms(
 
 def tutte_poly(oracle: BasesOracle, order: LinearOrder) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
-    over all bases, read off the exchange masks of ``oracle.bases()``."""
+    over all bases, read off ``oracle.masks``, which every order shares."""
     if len(order.ranking) != oracle.ground_size:
         raise ValueError("the order must rank the whole ground set")
-    masks = exchange_masks(oracle.bases(), oracle.ground_size)
-    return MultiPoly(("x", "y"), activity_terms(masks, order.ranking))
+    return MultiPoly(("x", "y"), activity_terms(oracle.masks, order.ranking))
 
 
 def strong_exchange(

@@ -41,7 +41,6 @@ from .matroids import (
     activity_terms,
     bltr_tuple_bijection,
     bottom_contact_positions,
-    exchange_masks,
     left_contact_positions,
     lpm_oracle,
     natural_order,
@@ -197,7 +196,7 @@ def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
     regions = 0
     for region in all_regions(max_semi):
         m = region.x + region.y
-        masks = exchange_masks(lpm_oracle(region).bases(), m)
+        masks = lpm_oracle(region).masks
         terms = activity_terms(masks, tuple(range(1, m + 1)))
         if any(activity_terms(masks, order) != terms for order in permutations(range(1, m + 1))):
             return VerifyResult(name, False, "order changed the polynomial", f"{region}")

@@ -93,6 +93,19 @@ def test_tutte_verb(capsys):
     assert {tuple(t["exp"]) for t in payload["terms"]} == {(0, 1), (1, 0)}
 
 
+def test_activities_empty_base_on_rank_zero_region(capsys):
+    code, out = run(capsys, "activities", "--T", "EE", "--B", "EE", "--base", "")
+    assert code == 0
+    assert out.strip() == "internal [] external [1, 2] -> (0, 2)"
+
+
+def test_activities_empty_base_on_positive_rank_is_not_a_base(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["activities", "--T", "NE", "--B", "EN", "--base", ""])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: [] is not a base of the region's path matroid\n"
+
+
 def test_perm_verb(capsys):
     code, out = run(capsys, "perm", "--to-path", "35681742")
     assert code == 0

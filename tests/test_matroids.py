@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from pathlab import matroids
 from pathlab.enumeration import enumerate_paths, path_distribution
 from pathlab.matroids import (
     LinearOrder,
@@ -184,3 +185,46 @@ def test_tutte_poly_matches_per_base_activities():
         random.Random(m).shuffle(shuffled)
         for order in (natural_order(m), reversed_order(m), LinearOrder(tuple(shuffled))):
             assert tutte_poly(oracle, order) == tutte_by_activities(oracle, order), (oracle, order)
+
+
+def encode(base):
+    return sum(1 << e for e in base)
+
+
+def test_base_bits_list_the_bases():
+    oracles = [lpm_oracle(region) for region in all_regions(7)]
+    oracles += [uniform_oracle(r, m) for m in range(0, 6) for r in range(0, m + 1)]
+    for oracle in oracles:
+        assert sorted(oracle.base_bits()) == sorted(encode(b) for b in oracle.bases()), oracle
+
+
+def test_exchange_mask_bits_match_is_base():
+    for region in all_regions(6):
+        oracle = lpm_oracle(region)
+        ground = range(1, oracle.ground_size + 1)
+        for bits, masks in oracle.masks:
+            base = frozenset(e for e in ground if bits >> e & 1)
+            for e in ground:
+                for f in ground:
+                    exchanged = base ^ {e, f}
+                    expected = (e in base) != (f in base) and oracle.is_base(exchanged)
+                    assert bool(masks[e] >> f & 1) == expected, (region, base, e, f)
+
+
+def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
+    calls = []
+    build = matroids.exchange_masks
+
+    def counted(encoded, m):
+        calls.append(m)
+        return build(encoded, m)
+
+    shuffled = list(range(1, 7))
+    random.Random(6).shuffle(shuffled)
+    orders = (natural_order(6), reversed_order(6), LinearOrder(tuple(shuffled)))
+    monkeypatch.setattr(matroids, "exchange_masks", counted)
+    oracle = lpm_oracle(SMALL)
+    polys = [tutte_poly(oracle, order) for order in orders]
+    assert calls == [6]
+    for order, poly in zip(orders, polys):
+        assert poly == tutte_poly(lpm_oracle(SMALL), order)
