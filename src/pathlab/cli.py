@@ -178,6 +178,13 @@ def cmd_swapall(args) -> int:
     image = swapall(region, path)
     before = contact_stats(region, path)
     after = contact_stats(region, image)
+    descents = descent_set(image)
+    if (after.t, after.b) != (before.b, before.t):
+        raise InvariantError("swapall did not exchange the contact counts")
+    if descents != descent_set(path):
+        raise InvariantError("swapall changed the descent set")
+    if noncontact_heights(region, image) != noncontact_heights(region, path):
+        raise InvariantError("swapall changed the free heights")
     if args.format == "json":
         print(
             json.dumps(
@@ -194,7 +201,7 @@ def cmd_swapall(args) -> int:
         print(f"heights {list(image.heights)}")
         print(
             f"(t,b,l,r): {before.as_tuple()} -> {after.as_tuple()}; "
-            f"descents {sorted(descent_set(image))} preserved"
+            f"descents {sorted(descents)} preserved"
         )
     return 0
 

@@ -23,7 +23,8 @@ def enumerate_paths(region: Region, south_allowed: bool = False) -> Iterator[Pat
 
     With ``south_allowed`` every in-range height sequence is legal;
     otherwise only the weakly increasing ones that ``_height_sequences``
-    lists.  Callers filter the stream themselves.
+    lists.  Callers filter the stream themselves.  Every height lies
+    between the boundaries, so the paths skip the checks of ``Path``.
     """
     lo, hi = region.b_heights, region.t_heights
     if south_allowed:
@@ -32,7 +33,7 @@ def enumerate_paths(region: Region, south_allowed: bool = False) -> Iterator[Pat
         sequences = _height_sequences(lo, hi)
     y = region.y
     for heights in sequences:
-        yield Path(heights, y)
+        yield Path._of(heights, y)
 
 
 def all_regions(max_semi: int) -> Iterator[Region]:

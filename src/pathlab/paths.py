@@ -46,6 +46,15 @@ class Path:
             if not 0 <= h <= self.y:
                 raise PathError(f"east step height {h} outside [0, {self.y}]")
 
+    @classmethod
+    def _of(cls, heights: tuple[int, ...], y: int) -> "Path":
+        """A path whose heights, a tuple, are known to lie in [0, y]: the
+        checks of ``__post_init__`` are skipped.  For trusted callers only."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "heights", heights)
+        object.__setattr__(path, "y", y)
+        return path
+
     @property
     def x(self) -> int:
         return len(self.heights)

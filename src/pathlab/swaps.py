@@ -3,26 +3,31 @@
 ``swap`` moves one contact; iterating it (``swapall``) is an involution that
 exchanges the top- and bottom-contact counts while preserving the descent
 set and the heights of the non-contact east steps.
+
+One kernel per direction, ``_down`` and ``_up``, moves one contact in place
+on a height list and checks the columns it rewrote.  ``swapall`` scans and
+factorizes the contact word once, then runs a kernel |t - b| times.
 """
 
 from __future__ import annotations
 
 from .paths import InvariantError, Path, Region, RegionError, check_dimensions
-from .words import factorize, switch
+from .words import factorize
 
 
-def _scan(region: Region, heights: tuple[int, ...]):
-    """One pass over the columns: ``None`` if the heights leave the region,
-    else the contact columns and the contact word.
+def _letters(region: Region, path: Path):
+    """One pass over the columns of a path given at the API: its contact
+    columns and contact word, or ``RegionError`` if it leaves the region.
 
     Every east step that is a top or bottom contact but not both gives one
     (1-based) column and one letter, ``t`` or ``b``; steps shared by both
     boundaries are omitted.
     """
+    check_dimensions(region, path)
     cols = []
     letters = []
     col = 0
-    for h, th, bh in zip(heights, region.t_heights, region.b_heights):
+    for h, th, bh in zip(path.heights, region.t_heights, region.b_heights):
         col += 1
         if h == th:
             if h != bh:
@@ -32,36 +37,43 @@ def _scan(region: Region, heights: tuple[int, ...]):
             cols.append(col)
             letters.append("b")
         elif h > th or h < bh:
-            return None
+            raise RegionError("path does not lie in the region")
     return cols, "".join(letters)
 
 
-def _letters(region: Region, path: Path):
-    """``_scan`` of a path given at the API, which raises ``RegionError``
-    if it does not lie in the region."""
-    check_dimensions(region, path)
-    scan = _scan(region, path.heights)
-    if scan is None:
-        raise RegionError("path does not lie in the region")
-    return scan
-
-
 def contact_word(region: Region, path: Path) -> str:
-    """The path's contact letters in column order (see ``_scan``)."""
+    """The path's contact letters in column order (see ``_letters``)."""
     return _letters(region, path)[1]
 
 
-def _swap(region: Region, h: tuple[int, ...], cols: list[int], word: str):
-    """One step of ``swap`` on heights in the region with the given contact
-    columns and word; returns the image's heights, columns and word."""
-    _, unmatched_t = factorize(word)
-    if not unmatched_t:
-        raise ValueError("contact word has no unmatched top contact")
-    k = unmatched_t[0] - 1
-    c_t = cols[k]
-    x = len(h)
-    b_heights = region.b_heights
+def _land(region: Region, h: list[int], cols: list[int], k: int, land: int, boundary, letter: str, name: str):
+    """Slide the contact at column ``cols[k]`` of ``h`` to ``land`` on the
+    boundary, in place.  Only the columns between change, so the move switched
+    the contact word unless one of them leaves the region or holds a contact
+    other than ``letter`` at ``land``: then raise ``InvariantError``."""
+    c = cols[k]
+    if land > c:
+        h[c - 1 : land - 1] = h[c:land]
+        first, last = c, land
+    else:
+        h[land:c] = h[land - 1 : c - 1]
+        first, last = land, c
+    h[land - 1] = boundary[land - 1]
+    t_heights, b_heights = region.t_heights, region.b_heights
+    for j in range(first - 1, last):
+        v, th, bh = h[j], t_heights[j], b_heights[j]
+        if v > th or v < bh:
+            raise InvariantError(f"{name} left the region")
+        if ("t" if v == th != bh else "b" if v == bh != th else "") != (letter if j == land - 1 else ""):
+            raise InvariantError(f"{name} did not switch the contact word")
+    cols[k] = land
 
+
+def _down(region: Region, h: list[int], cols: list[int], k: int) -> None:
+    """One move of ``swap``, in place: the top contact at column ``cols[k]``
+    of the heights ``h`` lands on the bottom boundary."""
+    c_t = cols[k]
+    b_heights = region.b_heights
     # Column j (1-based) is a descent when h[j - 1] > h[j]; the right end of
     # column j lies on the bottom boundary when h[j - 1] <= b_heights[j],
     # since the path is weakly above the bottom's vertical run there.
@@ -69,9 +81,8 @@ def _swap(region: Region, h: tuple[int, ...], cols: list[int], word: str):
     while x_start > 1 and h[x_start - 2] <= h[x_start - 1] and h[x_start - 2] > b_heights[x_start - 1]:
         x_start -= 1
     y_end = c_t
-    while y_end < x and h[y_end - 1] > h[y_end]:
+    while y_end < len(h) and h[y_end - 1] > h[y_end]:
         y_end += 1
-    len_y = y_end - c_t
 
     # The contact columns increase, so a block holds a contact exactly when
     # the neighbouring contact column falls inside it.
@@ -79,66 +90,41 @@ def _swap(region: Region, h: tuple[int, ...], cols: list[int], word: str):
         raise InvariantError("block X may not contain contacts")
     if k + 1 < len(cols) and cols[k + 1] <= y_end:
         raise InvariantError("block Y may not contain contacts")
-
-    h_x = None if x_start == c_t else h[c_t - 2]
-    h_y = None if len_y == 0 else h[c_t]
-    if h_x is None or (h_y is not None and h_x <= h_y):
-        # W X Y b Z: the contact slides right past Y onto the bottom boundary
-        b_col = c_t + len_y
-        new = h[: c_t - 1] + h[c_t : c_t + len_y] + (b_heights[b_col - 1],) + h[c_t + len_y :]
-    else:
-        # W b X Y Z: the contact slides left past X
-        b_col = x_start
-        new = h[: x_start - 1] + (b_heights[x_start - 1],) + h[x_start - 1 : c_t - 1] + h[c_t:]
-    scan = _scan(region, new)
-    if scan is None:
-        raise InvariantError("swap left the region")
-    if scan[1] != switch(word):
-        raise InvariantError("swap did not switch the contact word")
-    return new, *scan
+    # W X Y b Z: the contact slides right past Y; W b X Y Z: left past X
+    right = x_start == c_t or (y_end > c_t and h[c_t - 2] <= h[c_t])
+    _land(region, h, cols, k, y_end if right else x_start, b_heights, "b", "swap")
 
 
-def _swap_inv(region: Region, h: tuple[int, ...], cols: list[int], word: str):
-    """One step of ``swap_inv``, with the arguments and result of ``_swap``."""
-    unmatched_b, _ = factorize(word)
-    if not unmatched_b:
-        raise ValueError("contact word has no unmatched bottom contact")
-    k = unmatched_b[-1] - 1
+def _up(region: Region, h: list[int], cols: list[int], k: int) -> None:
+    """One move of ``swap_inv``, in place: the bottom contact at column
+    ``cols[k]`` lands on the top boundary (``_down`` rotated half a turn)."""
     c_b = cols[k]
-    x = len(h)
     t_heights = region.t_heights
-
     # Column j is a descent when h[j - 1] > h[j]; the left end of column
     # j + 1 lies on the top boundary when h[j] >= t_heights[j - 1], since
     # the path is weakly below the top's vertical run there.
     s_start = c_b
     while s_start > 1 and h[s_start - 2] > h[s_start - 1]:
         s_start -= 1
-    len_s = c_b - s_start
     u_end = c_b
-    while u_end < x and h[u_end - 1] <= h[u_end] and h[u_end] < t_heights[u_end - 1]:
+    while u_end < len(h) and h[u_end - 1] <= h[u_end] and h[u_end] < t_heights[u_end - 1]:
         u_end += 1
-    len_u = u_end - c_b
 
     if k > 0 and cols[k - 1] >= s_start:
         raise InvariantError("block S may not contain contacts")
     if k + 1 < len(cols) and cols[k + 1] <= u_end:
         raise InvariantError("block U may not contain contacts")
+    # R t S U V: the contact slides left past S; R S U t V: right past U
+    left = u_end == c_b or (s_start < c_b and h[c_b - 2] <= h[c_b])
+    _land(region, h, cols, k, s_start if left else u_end, t_heights, "t", "inverse swap")
 
-    h_s = None if len_s == 0 else h[c_b - 2]
-    h_u = None if len_u == 0 else h[c_b]
-    if len_u == 0 or (len_s > 0 and h_s <= h_u):
-        # R t S U V: the contact slides left past S onto the top boundary
-        t_col = c_b - len_s
-        new = h[: t_col - 1] + (t_heights[t_col - 1],) + h[t_col - 1 : c_b - 1] + h[c_b:]
-    else:
-        # R S U t V: the contact slides right past U
-        t_col = c_b + len_u
-        new = h[: c_b - 1] + h[c_b : c_b + len_u] + (t_heights[t_col - 1],) + h[c_b + len_u :]
-    scan = _scan(region, new)
-    if scan is None:
-        raise InvariantError("inverse swap left the region")
-    return new, *scan
+
+def _moved(region: Region, path: Path, cols: list[int], move, positions) -> Path:
+    """The path after ``move`` on the contact at each word position in turn."""
+    h = list(path.heights)
+    for i in positions:
+        move(region, h, cols, i - 1)
+    return Path._of(tuple(h), path.y)
 
 
 def swap(region: Region, path: Path) -> Path:
@@ -150,13 +136,21 @@ def swap(region: Region, path: Path) -> Path:
     descent before each step.  The contact moves past whichever of X, Y is
     higher at the junction, and lands on the bottom boundary.
     """
-    return Path(_swap(region, path.heights, *_letters(region, path))[0], path.y)
+    cols, word = _letters(region, path)
+    unmatched_t = factorize(word)[1]
+    if not unmatched_t:
+        raise ValueError("contact word has no unmatched top contact")
+    return _moved(region, path, cols, _down, unmatched_t[:1])
 
 
 def swap_inv(region: Region, path: Path) -> Path:
     """Inverse of ``swap``: the rightmost unmatched bottom contact becomes a
     top contact (the picture of ``swap`` rotated half a turn)."""
-    return Path(_swap_inv(region, path.heights, *_letters(region, path))[0], path.y)
+    cols, word = _letters(region, path)
+    unmatched_b = factorize(word)[0]
+    if not unmatched_b:
+        raise ValueError("contact word has no unmatched bottom contact")
+    return _moved(region, path, cols, _up, unmatched_b[-1:])
 
 
 def swapall(region: Region, path: Path) -> Path:
@@ -166,13 +160,17 @@ def swapall(region: Region, path: Path) -> Path:
     two counts; when the counts already agree it is the identity.  Columns
     shared by both boundaries count toward both, so the difference is that
     of the letters of the contact word.
+
+    The stack of ``factorize`` is empty at the leftmost unmatched ``t``, so
+    switching it leaves every other letter matched or unmatched as before: the
+    moves are the first t - b unmatched ``t``'s, or the last b - t unmatched
+    ``b``'s taken rightmost first.
     """
     cols, word = _letters(region, path)
     diff = 2 * word.count("t") - len(word)
     if diff == 0:
         return path
-    step = _swap if diff > 0 else _swap_inv
-    h = path.heights
-    for _ in range(abs(diff)):
-        h, cols, word = step(region, h, cols, word)
-    return Path(h, path.y)
+    unmatched_b, unmatched_t = factorize(word)
+    if diff > 0:
+        return _moved(region, path, cols, _down, unmatched_t[:diff])
+    return _moved(region, path, cols, _up, unmatched_b[::-1][:-diff])

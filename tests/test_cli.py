@@ -1,12 +1,18 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathlab import cli
 from pathlab.cli import main
+from pathlab.paths import Path
 from pathlab.verify import SUITES
 
 
@@ -46,6 +52,38 @@ def test_swapall_verb(capsys):
     assert code == 0
     assert "heights [0, 1]" in out
     assert "(2, 0," in out and "(0, 2," in out
+
+
+@pytest.mark.parametrize(
+    "bad_swapall, message",
+    [
+        (lambda region, path: path, "swapall did not exchange the contact counts"),
+        (lambda region, path: Path((2, 1, 0), 3), "swapall changed the descent set"),
+        (lambda region, path: Path((0, 2, 2), 3), "swapall changed the free heights"),
+    ],
+)
+def test_swapall_verb_checks_what_it_prints(capsys, monkeypatch, bad_swapall, message):
+    # the path NENENE has heights (1, 2, 3): one top contact, free heights 1, 2
+    monkeypatch.setattr(cli, "swapall", bad_swapall)
+    code = main(["swapall", "--T", "NNNEEE", "--B", "EEENNN", "--path", "NENENE"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(FilePath(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pathlab", "switch", "--word", "tt"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "bt\n"
 
 
 def test_enumerate_verb(capsys):

@@ -299,31 +299,80 @@ def test_swaps_reject_paths_outside_the_region():
             fn(DYCK22, Path((2, 2, 2), 2))
 
 
+def test_unchecked_paths_pass_the_full_checks():
+    # enumerate_paths and the swaps build their paths without the checks of
+    # Path.__post_init__; each must equal the checked path and lie in the region
+    for region in all_regions(6):
+        for south_allowed in (False, True):
+            for p in enumerate_paths(region, south_allowed):
+                built = [p, swapall(region, p)]
+                for fn in (swap, swap_inv):
+                    try:
+                        built.append(fn(region, p))
+                    except ValueError:
+                        pass
+                for q in built:
+                    assert q == Path(q.heights, q.y)
+                    assert contains(region, q)
+
+
 OPTIMIZED_CHECK = """
 import sys
 from pathlab import InvariantError, swaps
 from pathlab.verify import check_contact_involution
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-swaps.switch = lambda word: word
+factorize = swaps.factorize
+
+
+def every_t_unmatched(word):
+    return factorize(word)[0], tuple(i for i, c in enumerate(word, 1) if c == "t")
+
+
+def shared_columns_as_tops(region, path):
+    found = [
+        (col, "t" if h == th else "b")
+        for col, (h, th, bh) in enumerate(zip(path.heights, region.t_heights, region.b_heights), 1)
+        if h in (th, bh)
+    ]
+    return [col for col, _ in found], "".join(letter for _, letter in found)
+
+
+if sys.argv[1] == "factorize":
+    swaps.factorize = every_t_unmatched
+else:
+    swaps._letters = shared_columns_as_tops
 try:
     check_contact_involution(4)
 except InvariantError as exc:
     print("raised:", exc)
 else:
-    sys.exit("swap accepted a contact word it did not switch")
+    sys.exit("swapall accepted a planted fault")
 """
 
 
-def test_swap_checks_survive_optimized_mode():
+def run_optimized_check(plant):
     src = str(FilePath(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK, plant],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: swap did not switch the contact word")
+    return done.stdout
+
+
+def test_swap_checks_survive_optimized_mode():
+    # factorize reports matched t's as unmatched, so a move starts at a
+    # matched t and the next contact lies in its block Y
+    assert run_optimized_check("factorize") == "raised: block Y may not contain contacts\n"
+
+
+def test_swap_window_check_survives_optimized_mode():
+    # the contact scan keeps the columns both boundaries share, as top
+    # contacts: a move from one lands where the bottom meets the top, so the
+    # landing column holds no bottom contact
+    assert run_optimized_check("letters") == "raised: swap did not switch the contact word\n"
