@@ -3,7 +3,8 @@ generating polynomial, and the order-change bijection on bases.
 
 The oracle abstraction runs on any matroid; lattice path matroids (bases =
 north-step index sets of region paths) and uniform matroids are the two
-instantiations used here.
+instantiations used here.  Every activity question reads one table per
+oracle, its exchange masks ``oracle.masks``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class BasesOracle:
     """A matroid on the ground set 1..ground_size, given by a test for its
     bases.  ``bases`` lists them by filtering every rank-sized subset, in
     lexicographic order of their sorted elements; ``base_bits`` lists them
-    as bit masks (bit e set for element e), and ``masks`` holds their
-    ``exchange_masks``, built on first use and kept with the oracle."""
+    as bit masks (bit e set for element e).  ``masks``, built once, maps
+    those bits to their ``exchange_masks`` rows; every activity reads it."""
 
     ground_size: int
     rank: int
@@ -51,7 +52,7 @@ class BasesOracle:
         return [sum(1 << e for e in base) for base in self.bases()]
 
     @cached_property
-    def masks(self) -> list[tuple[int, list[int]]]:
+    def masks(self) -> dict[int, list[int]]:
         return exchange_masks(self.base_bits(), self.ground_size)
 
 
@@ -101,9 +102,6 @@ class LinearOrder:
     def precedes(self, a: int, b: int) -> bool:
         return self.rank_of[a] < self.rank_of[b]
 
-    def smaller_than(self, e: int) -> tuple[int, ...]:
-        return self.ranking[: self.rank_of[e]]
-
     def transpose_adjacent(self, a: int, b: int) -> "LinearOrder":
         pa, pb = self.rank_of[a], self.rank_of[b]
         if abs(pa - pb) != 1:
@@ -144,33 +142,33 @@ def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
     return BasesOracle(ground_size, rank, lambda s: len(s) == rank)
 
 
-def is_active(oracle: BasesOracle, base: frozenset[int], order: LinearOrder, e: int) -> bool:
-    """No smaller element can be exchanged with e to give another base.
+def _row(oracle: BasesOracle, base: frozenset[int]) -> list[int]:
+    """The base's row of ``oracle.masks``, or ValueError for a non-base."""
+    row = oracle.masks.get(sum(1 << e for e in base))
+    if row is None:
+        raise ValueError("not a base")
+    return row
 
-    Covers both cases: e in the base (internal) and e outside (external).
-    """
-    inside = e in base
-    for f in order.smaller_than(e):
-        if (f in base) == inside:
-            continue
-        swapped = base - {e} | {f} if inside else base - {f} | {e}
-        if oracle.is_base(frozenset(swapped)):
-            return False
-    return True
+
+def _below(ranking: tuple[int, ...]) -> dict[int, int]:
+    """For each element of ``ranking``, the bit mask of the elements ranked
+    before it."""
+    below = {}
+    seen = 0
+    for e in ranking:
+        below[e] = seen
+        seen |= 1 << e
+    return below
 
 
 def active_elements(
     oracle: BasesOracle, base: frozenset[int], order: LinearOrder
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(internally active, externally active) element sets."""
-    if not oracle.is_base(base):
-        raise ValueError("not a base")
-    ground = range(1, oracle.ground_size + 1)
-    internal = frozenset(e for e in base if is_active(oracle, base, order, e))
-    external = frozenset(
-        e for e in ground if e not in base and is_active(oracle, base, order, e)
-    )
-    return internal, external
+    row = _row(oracle, base)
+    below = _below(order.ranking)
+    active = frozenset(e for e in range(1, oracle.ground_size + 1) if row[e] & below[e] == 0)
+    return active & base, active - base
 
 
 def activities(
@@ -180,11 +178,11 @@ def activities(
     return len(internal), len(external)
 
 
-def exchange_masks(encoded: list[int], m: int) -> list[tuple[int, list[int]]]:
-    """For each base over the ground set 1..m, given as a bit mask (bit e
-    set for element e), that mask and, for each ground element e, the bit
-    mask of the elements f such that exchanging e and f (one in the base,
-    the other not) gives another listed base.
+def exchange_masks(encoded: list[int], m: int) -> dict[int, list[int]]:
+    """Map each base over the ground set 1..m, given as a bit mask (bit e
+    set for element e), to its row: for each ground element e, the bit mask
+    of the elements f such that exchanging e and f (one in the base, the
+    other not) gives another listed base.
 
     The list must hold every base of the matroid: ``activity_terms`` then
     reads activities under any order off these masks alone.
@@ -192,9 +190,9 @@ def exchange_masks(encoded: list[int], m: int) -> list[tuple[int, list[int]]]:
     listed = set(encoded)
     bit = [1 << e for e in range(m + 1)]
     ground = range(1, m + 1)
-    out = []
+    out = {}
     for bits in encoded:
-        masks = [0] * (m + 1)
+        row = [0] * (m + 1)
         inside = [e for e in ground if bits & bit[e]]
         outside = [f for f in ground if not bits & bit[f]]
         for e in inside:
@@ -203,29 +201,25 @@ def exchange_masks(encoded: list[int], m: int) -> list[tuple[int, list[int]]]:
             for f in outside:
                 if without | bit[f] in listed:
                     partners |= bit[f]
-                    masks[f] |= bit[e]
-            masks[e] = partners
-        out.append((bits, masks))
+                    row[f] |= bit[e]
+            row[e] = partners
+        out[bits] = row
     return out
 
 
 def activity_terms(
-    masks: list[tuple[int, list[int]]], ranking: tuple[int, ...]
+    masks: dict[int, list[int]], ranking: tuple[int, ...]
 ) -> dict[tuple[int, int], int]:
     """Counts of (internal, external) activity pairs over the bases whose
     ``exchange_masks`` are given, under the order listing ``ranking``
     smallest first.  An element is active when no smaller element
     exchanges with it."""
-    smaller = {}
-    seen = 0
-    for e in ranking:
-        smaller[e] = seen
-        seen |= 1 << e
+    below = _below(ranking).items()
     terms: dict[tuple[int, int], int] = {}
-    for bits, base_masks in masks:
+    for bits, row in masks.items():
         internal = external = 0
-        for e, below in smaller.items():
-            if base_masks[e] & below == 0:
+        for e, smaller in below:
+            if row[e] & smaller == 0:
                 if bits >> e & 1:
                     internal += 1
                 else:
@@ -262,17 +256,16 @@ def phi_xy(
     base: frozenset[int],
 ) -> frozenset[int]:
     """Activity-preserving base bijection for transposing the adjacent pair
-    x before y in the order."""
+    x before y in the order: the x-y exchange when it is a base and x is
+    active, or y is once moved before x (below the same elements)."""
+    row = _row(oracle, base)
     if not order.precedes(x, y) or abs(order.rank_of[x] - order.rank_of[y]) != 1:
         raise ValueError("x must immediately precede y in the order")
-    if (x in base) == (y in base):
+    if not row[x] >> y & 1:
         return base
-    swapped = frozenset(base ^ {x, y})
-    if not oracle.is_base(swapped):
-        return base
-    order_prime = order.transpose_adjacent(x, y)
-    if is_active(oracle, base, order, x) or is_active(oracle, base, order_prime, y):
-        return swapped
+    before = _below(order.ranking)[x]
+    if row[x] & before == 0 or row[y] & before == 0:
+        return frozenset(base ^ {x, y})
     return base
 
 
@@ -284,7 +277,9 @@ def reorder_bijection(
 ) -> frozenset[int]:
     """Compose the adjacent-step bijection along the bubble path between the
     two orders; activities with respect to the target order match the
-    original activities with respect to the source order."""
+    original activities with respect to the source order.  A non-base raises
+    ``ValueError``, even when the two orders agree."""
+    _row(oracle, base)
     cur_order = from_order
     cur_base = base
     for p in bubble_swaps(from_order.ranking, to_order.rank_of):

@@ -81,6 +81,8 @@ def degree_sequence(t: Triangulation) -> tuple[int, ...]:
 def enumerate_k_triangulations(n: int, k: int):
     """All maximal sets of nontrivial diagonals with no k+1 mutually
     crossing, streamed in lexicographic order of their sorted diagonals."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     diagonals = nontrivial_diagonals(n, k)
     target = k * (n - 2 * k - 1)
     cross = {
@@ -146,6 +148,8 @@ def nicolas_check(n: int, k: int) -> NicolasReport:
     """Compare degree distributions over triangulations against the
     statistics of nested staircase tuples, both for the first k vertices
     and for the full degree sequence."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     region = fan_region(n, k)
     tuples = list(enumerate_tuples(region, k))
     tris = list(enumerate_k_triangulations(n, k))

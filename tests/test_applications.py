@@ -29,7 +29,7 @@ from pathlab.applications import (
     watermelon_to_tuple,
 )
 from pathlab.enumeration import enumerate_paths, enumerate_tuples, path_distribution
-from pathlab.paths import Path, Region, contact_stats, parse_path, vertices
+from pathlab.paths import Path, Region, contact_stats, descent_set, parse_path, vertices
 from pathlab.swaps import contact_word
 from pathlab.tuples import h_stats
 from pathlab.verify import all_regions
@@ -178,7 +178,6 @@ def test_perm_extremes():
 
 def test_perm_bridge_exhaustive_small():
     region = dyck_region(4)
-    from pathlab.paths import contact_stats, descent_set
 
     perms = set()
     for p in enumerate_paths(region, south_allowed=True):

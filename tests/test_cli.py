@@ -217,12 +217,15 @@ def test_failure_exit_code(capsys):
         ["triangulate", "--n", "3", "--k", "2"],  # polygon too small
         ["nicolas-check", "--n", "3", "--k", "2"],
         ["dist", "--T", "NE", "--B", "EN", "--stats", "t,b,l,r,t,b,l"],  # seven letters, six variables
+        ["triangulate", "--n", "5", "--k", "0"],  # k below 1
+        ["nicolas-check", "--n", "5", "--k", "0"],
     ],
 )
 def test_malformed_path_or_region_is_usage_error(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_unknown_stat_is_usage_error(capsys):

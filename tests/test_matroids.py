@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -161,13 +162,49 @@ def bases_by_filter(oracle):
     return [frozenset(c) for c in combinations(ground, oracle.rank) if oracle.is_base(frozenset(c))]
 
 
+def is_active(oracle, base, order, e):
+    """The definition: no smaller element can be exchanged with e to give
+    another base.  Covers e in the base (internal) and e outside
+    (external)."""
+    inside = e in base
+    for f in order.ranking[: order.rank_of[e]]:
+        if (f in base) == inside:
+            continue
+        swapped = base - {e} | {f} if inside else base - {f} | {e}
+        if oracle.is_base(frozenset(swapped)):
+            return False
+    return True
+
+
+def active_by_definition(oracle, base, order):
+    ground = range(1, oracle.ground_size + 1)
+    active = frozenset(e for e in ground if is_active(oracle, base, order, e))
+    return active & base, active - base
+
+
+def phi_by_definition(oracle, order, x, y, base):
+    """Crapo's map for x immediately before y, tested through ``is_base``."""
+    swapped = base ^ {x, y}
+    if (x in base) == (y in base) or not oracle.is_base(swapped):
+        return base
+    moved = order.transpose_adjacent(x, y)
+    if is_active(oracle, base, order, x) or is_active(oracle, base, moved, y):
+        return swapped
+    return base
+
+
 def tutte_by_activities(oracle, order):
     """The activity polynomial summed base by base through ``is_active``."""
-    terms = {}
-    for base in bases_by_filter(oracle):
-        pair = activities(oracle, base, order)
-        terms[pair] = terms.get(pair, 0) + 1
-    return MultiPoly(("x", "y"), terms)
+    terms = Counter(
+        tuple(len(part) for part in active_by_definition(oracle, base, order))
+        for base in bases_by_filter(oracle)
+    )
+    return MultiPoly(("x", "y"), dict(terms))
+
+
+def small_oracles():
+    oracles = [lpm_oracle(region) for region in all_regions(5)]
+    return oracles + [uniform_oracle(r, m) for m in range(0, 6) for r in range(0, m + 1)]
 
 
 def test_lpm_bases_match_subset_filter():
@@ -177,14 +214,48 @@ def test_lpm_bases_match_subset_filter():
 
 
 def test_tutte_poly_matches_per_base_activities():
-    oracles = [lpm_oracle(region) for region in all_regions(5)]
-    oracles += [uniform_oracle(r, m) for m in range(0, 6) for r in range(0, m + 1)]
-    for oracle in oracles:
+    for oracle in small_oracles():
         m = oracle.ground_size
         shuffled = list(range(1, m + 1))
         random.Random(m).shuffle(shuffled)
         for order in (natural_order(m), reversed_order(m), LinearOrder(tuple(shuffled))):
             assert tutte_poly(oracle, order) == tutte_by_activities(oracle, order), (oracle, order)
+
+
+def test_mask_activities_match_the_definition():
+    """``active_elements`` and ``phi_xy`` read ``oracle.masks``; the
+    definition tests every exchange through ``is_base``.  Every order for
+    m <= 4, else the natural, reversed and one shuffled order."""
+    cases = 0
+    for oracle in small_oracles():
+        m = oracle.ground_size
+        if m <= 4:
+            orders = [LinearOrder(p) for p in permutations(range(1, m + 1))]
+        else:
+            shuffled = list(range(1, m + 1))
+            random.Random(m).shuffle(shuffled)
+            orders = [natural_order(m), reversed_order(m), LinearOrder(tuple(shuffled))]
+        for order in orders:
+            for base in oracle.bases():
+                expected = active_by_definition(oracle, base, order)
+                assert active_elements(oracle, base, order) == expected, (oracle, base, order)
+                for x, y in zip(order.ranking, order.ranking[1:]):
+                    expected = phi_by_definition(oracle, order, x, y, base)
+                    assert phi_xy(oracle, order, x, y, base) == expected, (oracle, base, order, x)
+                    cases += 1
+    assert cases == 13604
+
+
+def test_non_bases_are_rejected_not_mapped():
+    oracle = lpm_oracle(Region.from_steps("NNEE", "ENEN"))
+    non_base = frozenset({3, 4})
+    assert not oracle.is_base(non_base)
+    with pytest.raises(ValueError, match="not a base"):
+        phi_xy(oracle, natural_order(4), 2, 3, non_base)
+    with pytest.raises(ValueError, match="not a base"):
+        reorder_bijection(oracle, natural_order(4), reversed_order(4), non_base)
+    with pytest.raises(ValueError, match="not a base"):
+        active_elements(oracle, non_base, natural_order(4))
 
 
 def encode(base):
@@ -202,7 +273,7 @@ def test_exchange_mask_bits_match_is_base():
     for region in all_regions(6):
         oracle = lpm_oracle(region)
         ground = range(1, oracle.ground_size + 1)
-        for bits, masks in oracle.masks:
+        for bits, masks in oracle.masks.items():
             base = frozenset(e for e in ground if bits >> e & 1)
             for e in ground:
                 for f in ground:

@@ -215,7 +215,6 @@ def test_noncontact_length_identity():
     both_free = Region.from_steps("ENNE", "ENNE")
     for region in (r, both_free):
         shared = sum(t == b for t, b in zip(region.t_heights, region.b_heights))
-        from pathlab.enumeration import enumerate_paths
 
         for p in enumerate_paths(region):
             s = contact_stats(region, p)

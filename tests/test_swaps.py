@@ -129,8 +129,6 @@ def test_at_most_one_extreme_path_per_class():
 def test_class_bijectivity_sweep():
     # one application moves every (e, f, u)-class onto the (e-1, f+1, u)
     # class, across all small regions and prescribed-descent paths
-    from pathlab.verify import all_regions
-
     for region in all_regions(5):
         classes = {}
         for p in enumerate_paths(region, south_allowed=True):

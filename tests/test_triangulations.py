@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from pathlab.enumeration import enumerate_tuples, lgv_count
@@ -88,8 +90,6 @@ def test_nicolas_small():
 
 def test_window_symmetry_corollary():
     # the first k+1 degrees have a symmetric joint distribution
-    from itertools import permutations
-
     for n, k in ((7, 1), (7, 2)):
         counts = {}
         for t in enumerate_k_triangulations(n, k):

@@ -5,7 +5,7 @@ import pytest
 
 from pathlab.enumeration import distribution, enumerate_paths, enumerate_tuples
 from pathlab.paths import Path, Region, contact_stats, descent_set, noncontact_heights, parse_path
-from pathlab.matroids import bltr_tuple_bijection
+from pathlab.matroids import bltr_single_path, bltr_tuple_bijection
 from pathlab.tuples import (
     PathTuple,
     apply_perm_h,
@@ -14,7 +14,7 @@ from pathlab.tuples import (
     u_stats,
     v_stats,
 )
-from pathlab.verify import _symmetric, all_regions
+from pathlab.verify import _symmetric, all_regions, check_tuple_symmetry
 
 # a wide region and a pinned pair of paths inside it
 WIDE = Region.from_steps("NNENEENENENENEEEE", "EEENENEENENNEENEN")
@@ -138,8 +138,6 @@ def test_bltr_tuple_small():
 
 
 def test_bltr_k1_equals_single_path_map():
-    from pathlab.matroids import bltr_single_path
-
     region = Region.from_steps("NNEE", "ENEN")
     for t in enumerate_tuples(region, 1):
         image = bltr_tuple_bijection(t)
@@ -149,8 +147,6 @@ def test_bltr_k1_equals_single_path_map():
 def test_h_symmetry_invariant_full_scale():
     # the coincidence-vector symmetry on every unused-edge class, at the
     # documented sweep bound; ~2 minutes
-    from pathlab.verify import check_tuple_symmetry
-
     result = check_tuple_symmetry(8, 3)
     assert result.ok, result.counterexample
 
