@@ -16,7 +16,7 @@ from .enumeration import (
     enumerate_tuples,
     path_distribution,
 )
-from .paths import InvariantError, Path, Region
+from .paths import InvariantError, Path, Region, parse_path
 from .swaps import contact_word
 from .tuples import PathTuple
 
@@ -290,54 +290,33 @@ def watermelon_to_tuple(w: Watermelon) -> PathTuple:
     """Up steps become norths, down steps easts; the top path of the
     configuration becomes the first path of the tuple."""
     region = watermelon_region(w.x, w.y)
-    paths = []
-    for s in reversed(w.steps):
-        heights = []
-        norths = 0
-        for v in s:
-            if v == 1:
-                norths += 1
-            else:
-                heights.append(norths)
-        paths.append(Path(tuple(heights), region.y))
+    paths = (parse_path("".join("N" if v == 1 else "E" for v in s)) for s in reversed(w.steps))
     return PathTuple(region, tuple(paths))
 
 
 def tuple_to_watermelon(pt: PathTuple) -> Watermelon:
+    """Norths become up steps and easts down steps; the first path of the
+    tuple becomes the top path of the configuration."""
     region = pt.region
     x = region.x + region.y
     y = region.y - region.x
     if y < 0 or region != watermelon_region(x, y):
         raise ValueError("region does not arise from a watermelon configuration")
-    return _walks(pt)
+    return Watermelon(tuple(_walk(p) for p in reversed(pt.paths)))
 
 
-def _walks(pt: PathTuple) -> Watermelon:
-    """Norths become up steps and easts down steps; the first path of the
-    tuple becomes the top path of the configuration."""
-    steps = []
-    for p in reversed(pt.paths):
-        walk = []
-        prev = 0
-        for h in p.heights:
-            walk.extend([1] * (h - prev))
-            walk.append(-1)
-            prev = h
-        walk.extend([1] * (p.y - prev))
-        steps.append(tuple(walk))
-    return Watermelon(tuple(steps))
-
-
-def enumerate_watermelons(x: int, y: int, k: int):
-    """Configurations of given length and deviation, read through the
-    bijection off the weakly nested k-tuples of ``watermelon_region``."""
-    if (x + y) % 2 or not 0 <= y <= x:
-        return
-    yield from map(_walks, enumerate_tuples(watermelon_region(x, y), k))
+def _walk(path: Path) -> tuple[int, ...]:
+    """The path's step string read as a walk: N = +1, E = -1."""
+    return tuple(1 if step == "N" else -1 for step in path.steps())
 
 
 def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int, int]]:
     """(returns distribution, truncated-family counts) for every e.
+
+    The configurations are the weakly nested tuples of
+    ``watermelon_region``, read as walks; there are none, and no families,
+    when x + y is odd or y lies outside [0, x].  The bottom walk's i-th down
+    step returns to the axis when the last path has h_i = i.
 
     The family for e has the lower k-1 paths forming a configuration of the
     full length while the top path, from (0, 2k-2), stops at
@@ -348,13 +327,19 @@ def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int,
     must stay strictly above the (k-1)-th path's trace, or at or above the
     axis where there is none.
     """
-    lhs = dict(Counter(melon.returns() for melon in enumerate_watermelons(x, y, k)))
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if (x + y) % 2 or not 0 <= y <= x:
+        return {}, {}
+    region = watermelon_region(x, y)
+    bottoms = (t.paths[-1].heights for t in enumerate_tuples(region, k))
+    lhs = dict(Counter(sum(h == i for i, h in enumerate(b, 1)) for b in bottoms))
     if k == 1:
         floors = [(-1,) * x]
     else:
         floors = [
-            tuple(accumulate(melon.steps[-1], initial=2 * (k - 2)))
-            for melon in enumerate_watermelons(x, y, k - 1)
+            tuple(accumulate(_walk(t.paths[0]), initial=2 * (k - 2)))
+            for t in enumerate_tuples(region, k - 1)
         ]
     families = [0] * x
     for floor in floors:

@@ -50,6 +50,7 @@ from .paths import (
     InvariantError,
     Path,
     Region,
+    check_dimensions,
     contact_stats,
     descent_set,
     noncontact_heights,
@@ -142,6 +143,8 @@ def cmd_enumerate(args) -> int:
     )
     if args.k < 0:
         raise SystemExit2("--k must be at least 1, or 0 to list paths")
+    if args.k and (args.south or descents is not None or h_filter is not None):
+        raise SystemExit2("--south, --descents and --heights filter paths, not --k tuples")
     if args.k:
         items = [
             ";".join(str(p) for p in t.paths) for t in enumerate_tuples(region, args.k)
@@ -274,7 +277,9 @@ def cmd_activities(args) -> int:
     order = _order_from(args.order, region.x + region.y)
     oracle = lpm_oracle(region)
     if args.path:
-        base = north_index_set(parse_path(args.path))
+        path = parse_path(args.path)
+        check_dimensions(region, path)
+        base = north_index_set(path)
     elif args.base is not None:
         try:
             values = args.base.split(",") if args.base else []

@@ -81,17 +81,19 @@ def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tupl
 def enumerate_tuples(region: Region, k: int) -> Iterator[PathTuple]:
     """Yield the weakly nested k-tuples of monotone paths, ordered
     lexicographically by concatenated height vectors.  For k = 0 that is
-    the one empty tuple."""
+    the one empty tuple.  Each path's heights come from
+    ``_height_sequences`` below the path above, so the paths skip the
+    checks of ``Path``; ``PathTuple`` still checks the tuple."""
     if k < 0:
         raise ValueError("k must be at least 0")
-    lo = region.b_heights
+    lo, y = region.b_heights, region.y
 
     def rec_tuple(level: int, upper: tuple[int, ...], acc: tuple[Path, ...]):
         if level == k:
             yield PathTuple(region, acc)
             return
         for heights in _height_sequences(lo, upper):
-            yield from rec_tuple(level + 1, heights, acc + (Path(heights, region.y),))
+            yield from rec_tuple(level + 1, heights, acc + (Path._of(heights, y),))
 
     yield from rec_tuple(0, region.t_heights, ())
 

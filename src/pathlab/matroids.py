@@ -21,7 +21,6 @@ from .paths import (
     PathError,
     Region,
     contains,
-    north_edges,
     north_index_set,
     path_from_north_set,
 )
@@ -64,9 +63,8 @@ class _PathMatroidOracle(BasesOracle):
     region: Region
 
     def base_bits(self) -> list[int]:
-        """The bases in lexicographic height order.  Column i (from 1) of a
-        path at height h holds the east step at position i + h; every other
-        position is a north step."""
+        """The bases in lexicographic height order, each the complement of
+        its path's east positions i + h_i (see ``paths``)."""
         full = (1 << self.ground_size + 1) - 2
         return [
             full - sum(1 << i + h for i, h in enumerate(heights, 1))
@@ -292,39 +290,23 @@ def reorder_bijection(
 
 
 def left_contact_positions(region: Region, path: Path) -> frozenset[int]:
-    """String positions of the north steps shared with the top boundary."""
-    shared = north_edges(path) & north_edges(region.top)
-    positions = []
-    pos = 0
-    prev = 0
-    cx = 0
-    for h in path.heights:
-        for v in range(prev, h):
-            pos += 1
-            if (cx, v) in shared:
-                positions.append(pos)
-        pos += 1
-        cx += 1
-        prev = h
-    for v in range(prev, path.y):
-        pos += 1
-        if (cx, v) in shared:
-            positions.append(pos)
-    return frozenset(positions)
+    """String positions of the north steps shared with the top boundary.
+    At x = c the path's north run [h_c, h_{c+1}) and the top's [t_c, t_{c+1})
+    (with h_0 = t_0 = 0 and y after the last column) overlap in the steps
+    from height v to v + 1, at position c + v + 1."""
+    h, t = path.heights, region.t_heights
+    runs = zip((0, *h), (*h, path.y), (0, *t), (*t, region.y))
+    return frozenset(
+        c + v + 1 for c, (hp, hn, tp, tn) in enumerate(runs) for v in range(max(hp, tp), min(hn, tn))
+    )
 
 
 def bottom_contact_positions(region: Region, path: Path) -> frozenset[int]:
-    """String positions of the east steps shared with the bottom boundary."""
-    positions = []
-    pos = 0
-    prev = 0
-    for col, h in enumerate(path.heights):
-        pos += h - prev
-        pos += 1
-        if h == region.b_heights[col]:
-            positions.append(pos)
-        prev = h
-    return frozenset(positions)
+    """String positions i + h_i of the east steps shared with the bottom
+    boundary."""
+    return frozenset(
+        i + h for i, (h, b) in enumerate(zip(path.heights, region.b_heights), 1) if h == b
+    )
 
 
 def bltr_single_path(region: Region, path: Path) -> Path:

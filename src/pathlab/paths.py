@@ -6,6 +6,10 @@ east steps.  The step string is derived: each vertical run is placed
 immediately before the east step it precedes, and the final ascent to height
 y comes last.  For monotone paths the height sequence is weakly increasing;
 when south steps are allowed any in-range height sequence is legal.
+
+Every position view reads one rule off the heights of a monotone path:
+column i (from 1) at height h_i puts its east step at position i + h_i of
+the step string, and the north steps take the other positions of [1, x+y].
 """
 
 from __future__ import annotations
@@ -150,39 +154,24 @@ def descent_set(path: Path) -> frozenset[int]:
 
 
 def north_index_set(path: Path) -> frozenset[int]:
-    """1-based positions of the north steps in the canonical step string.
+    """1-based positions of the north steps in the canonical step string:
+    those of [1, x+y] that no east step i + h_i takes.
 
     Only defined for monotone paths.
     """
     if not path.is_monotone:
         raise PathError("north step index set requires a monotone path")
-    positions = []
-    pos = 0
-    prev = 0
-    for h in path.heights:
-        for _ in range(h - prev):
-            pos += 1
-            positions.append(pos)
-        pos += 1
-        prev = h
-    for _ in range(path.y - prev):
-        pos += 1
-        positions.append(pos)
-    return frozenset(positions)
+    easts = {i + h for i, h in enumerate(path.heights, 1)}
+    return frozenset(range(1, path.x + path.y + 1)).difference(easts)
 
 
 def path_from_north_set(x: int, y: int, norths: frozenset[int]) -> Path:
-    """Inverse of north_index_set for a path with x east and y north steps."""
+    """Inverse of north_index_set for a path with x east and y north steps:
+    the i-th east position p_i gives h_i = p_i - i."""
     if len(norths) != y or not all(1 <= p <= x + y for p in norths):
         raise PathError("north index set must pick y positions in [1, x+y]")
-    heights = []
-    h = 0
-    for pos in range(1, x + y + 1):
-        if pos in norths:
-            h += 1
-        else:
-            heights.append(h)
-    return Path(tuple(heights), y)
+    easts = sorted(set(range(1, x + y + 1)).difference(norths))
+    return Path(tuple(p - i for i, p in enumerate(easts, 1)), y)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .enumeration import _height_sequences
 from .paths import InvariantError, Path, Region
 from .polynomials import MultiPoly, h_complete, poly_determinant
 from .tuples import PathTuple, h_stats, u_stats
@@ -459,29 +460,22 @@ def easy_bijection(pt: PathTuple) -> Tableau:
 
 
 def enumerate_flagged_ssyt(shape: YoungShape, k: int):
-    """All semistandard fillings with row r bounded by k+r (brute force)."""
+    """All semistandard fillings with row r bounded by k+r, in
+    lexicographic order of their rows.  Row r is a weakly increasing
+    sequence from ``_height_sequences``, each entry at least one more than
+    the entry above it and at most k+r."""
     parts = [p for p in shape.parts if p > 0]
-    rows: list[list[int]] = [[0] * p for p in parts]
 
-    def rec(r: int, c: int):
+    def rec(rows: tuple[tuple[int, ...], ...]):
+        r = len(rows)
         if r == len(parts):
-            yield Tableau(tuple(tuple(row) for row in rows), k)
+            yield Tableau(rows, k)
             return
-        nr, nc = (r, c + 1) if c + 1 < parts[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for e in range(lo, k + r + 2):
-            rows[r][c] = e
-            yield from rec(nr, nc)
-        rows[r][c] = 0
+        lo = tuple(e + 1 for e in rows[-1][: parts[r]]) if rows else (1,) * parts[r]
+        for row in _height_sequences(lo, (k + r + 1,) * parts[r]):
+            yield from rec(rows + (row,))
 
-    if not parts:
-        yield Tableau((), k)
-        return
-    yield from rec(0, 0)
+    yield from rec(())
 
 
 def flagged_schur(shape: YoungShape, k: int, nvars: int) -> MultiPoly:

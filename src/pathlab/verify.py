@@ -28,6 +28,7 @@ from .applications import (
     perm_stats,
 )
 from .enumeration import (
+    _height_sequences,
     all_regions,
     enumerate_paths,
     enumerate_tuples,
@@ -170,13 +171,13 @@ def check_contact_involution(max_semi: int = 8) -> VerifyResult:
     return VerifyResult(name, True, f"{paths} paths over {regions} regions (x+y <= {max_semi})")
 
 
-def check_tuple_symmetry(max_semi: int = 6, max_k: int = 3) -> VerifyResult:
+def check_tuple_symmetry(max_semi: int = 6) -> VerifyResult:
     """Coincidence-vector symmetry on every unused-edge class, plus the
-    nesting determinant against brute-force counts."""
+    nesting determinant against brute-force counts, for k <= 3."""
     name = "tuple-symmetry"
     checked = 0
     for region in all_regions(max_semi):
-        for k in range(1, max_k + 1):
+        for k in (1, 2, 3):
             tuples = list(enumerate_tuples(region, k))
             if lgv_count(region, k) != len(tuples):
                 return VerifyResult(name, False, "determinant disagrees", f"{region} k={k}")
@@ -186,7 +187,7 @@ def check_tuple_symmetry(max_semi: int = 6, max_k: int = 3) -> VerifyResult:
             checked += len(tuples)
             if not all(_symmetric(dist) for dist in by_u.values()):
                 return VerifyResult(name, False, "h-distribution asymmetric", f"{region}")
-    return VerifyResult(name, True, f"{checked} tuples (x+y <= {max_semi}, k <= {max_k})")
+    return VerifyResult(name, True, f"{checked} tuples (x+y <= {max_semi}, k <= 3)")
 
 
 def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
@@ -214,15 +215,15 @@ def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
     return VerifyResult(name, True, f"{regions} regions, all ground orders (x+y <= {max_semi})")
 
 
-def check_activity_reorder(max_semi: int = 6, max_uniform: int = 5) -> VerifyResult:
+def check_activity_reorder(max_semi: int = 6) -> VerifyResult:
     """The adjacent-transposition bijection preserves activity pairs and
     composes to the identity with its mirror, on path matroids and uniform
-    matroids."""
+    matroids of ground size at most 5."""
     name = "activity-reorder"
     oracles = []
     for region in all_regions(max_semi):
         oracles.append((f"{region}", lpm_oracle(region)))
-    for m in range(1, max_uniform + 1):
+    for m in range(1, 6):
         for r in range(0, m + 1):
             oracles.append((f"U({r},{m})", uniform_oracle(r, m)))
     checked = 0
@@ -271,13 +272,13 @@ def check_activity_contacts(max_semi: int = 5) -> VerifyResult:
     return VerifyResult(name, True, f"{checked} paths checked (x+y <= {max_semi})")
 
 
-def check_bltr_tuples(max_semi: int = 5, max_k: int = 2) -> VerifyResult:
+def check_bltr_tuples(max_semi: int = 5) -> VerifyResult:
     """The bottom/left to top/right sweep on tuples: statistics transfer per
-    instance and the two joint distributions agree."""
+    instance and the two joint distributions agree, for k <= 2."""
     name = "bltr-tuples"
     checked = 0
     for region in all_regions(max_semi):
-        for k in range(1, max_k + 1):
+        for k in (1, 2):
             tuples = list(enumerate_tuples(region, k))
             source, target = Counter(), Counter()
             for t in tuples:
@@ -290,17 +291,17 @@ def check_bltr_tuples(max_semi: int = 5, max_k: int = 2) -> VerifyResult:
                 checked += 1
             if source != target:
                 return VerifyResult(name, False, "distributions differ", f"{region} k={k}")
-    return VerifyResult(name, True, f"{checked} tuples checked (x+y <= {max_semi}, k <= {max_k})")
+    return VerifyResult(name, True, f"{checked} tuples checked (x+y <= {max_semi}, k <= 2)")
 
 
-def check_tableau_bijection(box: int = 4, max_k: int = 3) -> VerifyResult:
+def check_tableau_bijection(box: int = 4) -> VerifyResult:
     """The repaired filling is a weight-true bijection onto flagged
-    semistandard tableaux for every shape in a square box."""
+    semistandard tableaux for every shape in a square box and k <= 3."""
     name = "tableau-bijection"
     checked = 0
     for shape in shapes_in_box(box):
         region = region_of_shape(shape)
-        for k in range(0, max_k + 1):
+        for k in range(4):
             tuples = list(enumerate_tuples(region, k))
             images = set()
             for t in tuples:
@@ -314,22 +315,16 @@ def check_tableau_bijection(box: int = 4, max_k: int = 3) -> VerifyResult:
             ssyt = set(enumerate_flagged_ssyt(shape, k))
             if images != ssyt:
                 return VerifyResult(name, False, "image is not all flagged tableaux", f"{shape} k={k}")
-    return VerifyResult(name, True, f"{checked} tuples over shapes in a {box}x{box} box, k <= {max_k}")
+    return VerifyResult(name, True, f"{checked} tuples over shapes in a {box}x{box} box, k <= 3")
 
 
 def shapes_in_box(box: int) -> list[YoungShape]:
-    shapes = []
-
-    def rec(parts: tuple[int, ...], maximum: int):
-        if parts and parts[0] >= 1:
-            shapes.append(YoungShape(parts))
-        if len(parts) == box:
-            return
-        for nxt in range(1, (parts[-1] if parts else maximum) + 1):
-            rec(parts + (nxt,), maximum)
-
-    rec((), box)
-    return [s for s in shapes if s.width >= 1]
+    """The nonempty shapes that fit a box-by-box square, in order of their
+    row lengths: the weakly increasing sequences in [0, box]^box, reversed
+    and stripped of zero rows."""
+    sequences = _height_sequences((0,) * box, (box,) * box)
+    parts = sorted(tuple(p for p in reversed(seq) if p) for seq in sequences)
+    return [YoungShape(p) for p in parts if p]
 
 
 def check_fan_determinants(max_n: int = 9) -> VerifyResult:
@@ -422,12 +417,12 @@ def check_closed_formulas(max_total: int = 7) -> VerifyResult:
     return VerifyResult(name, True, f"families swept to total {max_total}")
 
 
-def check_brak_essam(max_x: int = 8, max_k: int = 2) -> VerifyResult:
+def check_brak_essam(max_x: int = 8) -> VerifyResult:
     """Return counts of configurations match the truncated-family counts
-    for every number of axis returns."""
+    for every number of axis returns, for k <= 2."""
     name = "watermelons"
     cases = 0
-    for k in range(1, max_k + 1):
+    for k in (1, 2):
         for x in range(1, max_x + 1):
             for y in range(x % 2, x + 1, 2):
                 lhs, rhs = brak_essam_counts(x, y, k)

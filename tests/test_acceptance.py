@@ -76,13 +76,13 @@ def test_criterion_04_tutte_order_independence(capsys):
 
 
 def test_criterion_05_activity_reorder(capsys):
-    result = check_activity_reorder(6, 5)
+    result = check_activity_reorder(6)
     with capsys.disabled():
         report(5, result.ok, result.detail)
 
 
 def test_criterion_06_tableau_bijection(capsys):
-    result = check_tableau_bijection(4, 3)
+    result = check_tableau_bijection(4)
     pinned = PathTuple(
         Region(Path((5,) * 6, 5), Path((0, 1, 1, 3, 4, 4), 5)),
         (
@@ -143,7 +143,7 @@ def test_criterion_09_applications_suite(capsys):
     start = time.monotonic()
     perm = check_permutation_bridge(7)
     formulas = check_closed_formulas(7)
-    melons = check_brak_essam(8, 2)
+    melons = check_brak_essam(8)
     conj_fast_start = time.monotonic()
     conj4 = all(
         conjecture_52_check(n).holds and conjecture_53_check(n).holds

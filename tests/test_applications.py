@@ -1,5 +1,7 @@
+import json
 from functools import cache
 from itertools import product
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -18,7 +20,6 @@ from pathlab.applications import (
     corollary_ij_check,
     dyck_region,
     easy_bottom_count,
-    enumerate_watermelons,
     find_tbl_btr_counterexample,
     path_of_perm,
     perm_of_path,
@@ -215,7 +216,7 @@ def test_watermelon_validation():
 
 @cache
 def brute_force_watermelons(x: int, y: int, k: int) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """The oracle for ``enumerate_watermelons``: every k-tuple of +-1 walks
+    """The oracle for the watermelon configurations: every k-tuple of +-1 walks
     of length x that ``Watermelon`` accepts, with deviation y.  Cached, as
     the Brak-Essam oracle asks for the same floors for every e."""
     walks = [w for w in product((1, -1), repeat=x) if sum(w) == y]
@@ -230,11 +231,17 @@ def brute_force_watermelons(x: int, y: int, k: int) -> frozenset[tuple[tuple[int
 
 
 def test_watermelons_match_brute_force():
+    # the configurations are the nested tuples of watermelon_region read as
+    # walks; there is no such region when x + y is odd or y lies outside [0, x]
     cases = 0
     for x in range(7):
         for y in range(-2, x + 3):
             for k in (1, 2, 3):
-                melons = [m.steps for m in enumerate_watermelons(x, y, k)]
+                if (x + y) % 2 or not 0 <= y <= x:
+                    melons = []
+                else:
+                    tuples = enumerate_tuples(watermelon_region(x, y), k)
+                    melons = [tuple_to_watermelon(t).steps for t in tuples]
                 assert len(melons) == len(set(melons))
                 assert set(melons) == brute_force_watermelons(x, y, k), (x, y, k)
                 cases += 1
@@ -311,6 +318,16 @@ def test_brak_essam_families_match_walk_oracle():
                     assert families.get(e, 0) == expected, (x, y, k, e)
                     cases += 1
     assert cases == 465
+
+
+def test_brak_essam_counts_match_goldens():
+    # outputs recorded from the implementation that listed Watermelon objects,
+    # for x <= 10, k <= 3 and 0 <= y <= x + 2: odd parity and y > x included
+    goldens = json.loads((FilePath(__file__).parent / "brak_essam_goldens.json").read_text())
+    assert len(goldens) == 3 * sum(x + 3 for x in range(11))
+    for key, (lhs, rhs) in goldens.items():
+        x, y, k = map(int, key.split(","))
+        assert brak_essam_counts(x, y, k) == (dict(map(tuple, lhs)), dict(map(tuple, rhs))), key
 
 
 def test_brak_essam_small():

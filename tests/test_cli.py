@@ -219,6 +219,7 @@ def test_failure_exit_code(capsys):
         ["dist", "--T", "NE", "--B", "EN", "--stats", "t,b,l,r,t,b,l"],  # seven letters, six variables
         ["triangulate", "--n", "5", "--k", "0"],  # k below 1
         ["nicolas-check", "--n", "5", "--k", "0"],
+        ["activities", "--T", "NNEE", "--B", "ENEN", "--path", "NNE"],  # ends short of the region
     ],
 )
 def test_malformed_path_or_region_is_usage_error(capsys, argv):
@@ -254,14 +255,19 @@ def test_unknown_stat_is_usage_error(capsys):
         ["check-conjectures", "--n", "0"],
         ["check-conjectures", "--n", "-1"],
         ["verify", "--max", "0", "--suite", "watermelons"],
+        # path filters, which a tuple listing would silently drop
+        ["enumerate", "--T", "NNEE", "--B", "ENEN", "--k", "1", "--south"],
+        ["enumerate", "--T", "NNEE", "--B", "ENEN", "--k", "1", "--descents", "1"],
+        ["enumerate", "--T", "NNEE", "--B", "ENEN", "--k", "1", "--heights", "1"],
     ],
 )
 def test_bad_verb_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    message = capsys.readouterr().err
-    assert message.startswith("error:") and message.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_sweeps_write_wall_times_to_stderr(capsys):

@@ -23,7 +23,7 @@ from pathlab.matroids import (
     tutte_poly,
     uniform_oracle,
 )
-from pathlab.paths import Path, Region, contact_stats, parse_path
+from pathlab.paths import Path, Region, contact_stats, north_edges, parse_path
 from pathlab.polynomials import MultiPoly
 from pathlab.verify import all_regions
 
@@ -58,6 +58,35 @@ def test_active_elements_are_contacts():
         internal, external = active_elements(oracle, north_index_set(p), order)
         assert internal == left_contact_positions(SMALL, p)
         assert external == bottom_contact_positions(SMALL, p)
+
+
+def contact_positions_by_definition(region, path):
+    """The oracle for the contact position readers: walk the step string,
+    keeping the north steps on an edge of ``north_edges(region.top)`` and
+    the east steps at the bottom boundary's height."""
+    top_edges = north_edges(region.top)
+    left, bottom, norths = set(), set(), set()
+    cx = cy = 0
+    for pos, step in enumerate(path.steps(), 1):
+        if step == "N":
+            norths.add(pos)
+            if (cx, cy) in top_edges:
+                left.add(pos)
+            cy += 1
+        else:
+            if cy == region.b_heights[cx]:
+                bottom.add(pos)
+            cx += 1
+    return norths, left, bottom
+
+
+def test_contact_positions_match_definition():
+    for region in all_regions(6):
+        for p in enumerate_paths(region):
+            norths, left, bottom = contact_positions_by_definition(region, p)
+            assert north_index_set(p) == norths
+            assert left_contact_positions(region, p) == left
+            assert bottom_contact_positions(region, p) == bottom
 
 
 def test_tutte_uniform():

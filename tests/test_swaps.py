@@ -6,7 +6,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from pathlab.enumeration import enumerate_paths
+from pathlab.enumeration import enumerate_paths, enumerate_tuples
 from pathlab.paths import (
     InvariantError,
     Path,
@@ -298,20 +298,22 @@ def test_swaps_reject_paths_outside_the_region():
 
 
 def test_unchecked_paths_pass_the_full_checks():
-    # enumerate_paths and the swaps build their paths without the checks of
-    # Path.__post_init__; each must equal the checked path and lie in the region
+    # enumerate_paths, enumerate_tuples and the swaps build their paths without
+    # the checks of Path.__post_init__; each must equal the checked path and lie
+    # in the region
     for region in all_regions(6):
+        built = [q for k in (1, 2) for t in enumerate_tuples(region, k) for q in t.paths]
         for south_allowed in (False, True):
             for p in enumerate_paths(region, south_allowed):
-                built = [p, swapall(region, p)]
+                built += [p, swapall(region, p)]
                 for fn in (swap, swap_inv):
                     try:
                         built.append(fn(region, p))
                     except ValueError:
                         pass
-                for q in built:
-                    assert q == Path(q.heights, q.y)
-                    assert contains(region, q)
+        for q in built:
+            assert q == Path(q.heights, q.y)
+            assert contains(region, q)
 
 
 OPTIMIZED_CHECK = """

@@ -147,7 +147,7 @@ def test_bltr_k1_equals_single_path_map():
 def test_h_symmetry_invariant_full_scale():
     # the coincidence-vector symmetry on every unused-edge class, at the
     # documented sweep bound; ~2 minutes
-    result = check_tuple_symmetry(8, 3)
+    result = check_tuple_symmetry(8)
     assert result.ok, result.counterexample
 
 
