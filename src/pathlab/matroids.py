@@ -1,10 +1,11 @@
 """Matroid bases oracles, internal/external activities, the activity
 generating polynomial, and the order-change bijection on bases.
 
-The oracle abstraction runs on any matroid; lattice path matroids (bases =
-north-step index sets of region paths) and uniform matroids are the two
-instantiations used here.  Every activity question reads one table per
-oracle, its exchange masks ``oracle.masks``.
+One oracle type, ``BasesOracle``, holds a matroid's bases as bit masks,
+listed once when it is built; lattice path matroids (bases = north-step
+index sets of region paths) and uniform matroids are the two built here.
+Every activity question reads one table per oracle, its exchange masks
+``oracle.masks``.
 """
 
 from __future__ import annotations
@@ -30,55 +31,24 @@ from .tuples import PathTuple, _inner_region, _replace, bubble_swaps, h_stats, v
 
 @dataclass(frozen=True)
 class BasesOracle:
-    """A matroid on the ground set 1..ground_size, given by a test for its
-    bases.  ``bases`` lists them by filtering every rank-sized subset, in
-    lexicographic order of their sorted elements; ``base_bits`` lists them
-    as bit masks (bit e set for element e).  ``masks``, built once, maps
-    those bits to their ``exchange_masks`` rows; every activity reads it."""
+    """A matroid on the ground set 1..ground_size.  ``is_base`` tests one
+    subset; ``base_bits`` lists every base as a bit mask (bit e set for
+    element e), in lexicographic order of their sorted elements.  ``masks``,
+    built once, maps those bits to their ``exchange_masks`` rows; every
+    activity reads it."""
 
     ground_size: int
     rank: int
     is_base: Callable[[frozenset[int]], bool]
+    base_bits: tuple[int, ...]
 
     def bases(self) -> list[frozenset[int]]:
-        return [
-            frozenset(c)
-            for c in combinations(range(1, self.ground_size + 1), self.rank)
-            if self.is_base(frozenset(c))
-        ]
-
-    def base_bits(self) -> list[int]:
-        return [sum(1 << e for e in base) for base in self.bases()]
+        ground = range(1, self.ground_size + 1)
+        return [frozenset(e for e in ground if bits >> e & 1) for bits in self.base_bits]
 
     @cached_property
     def masks(self) -> dict[int, list[int]]:
-        return exchange_masks(self.base_bits(), self.ground_size)
-
-
-@dataclass(frozen=True)
-class _PathMatroidOracle(BasesOracle):
-    """A lattice path matroid, which lists its bases from the height
-    sequences of its region instead of filtering every subset."""
-
-    region: Region
-
-    def base_bits(self) -> list[int]:
-        """The bases in lexicographic height order, each the complement of
-        its path's east positions i + h_i (see ``paths``)."""
-        full = (1 << self.ground_size + 1) - 2
-        return [
-            full - sum(1 << i + h for i, h in enumerate(heights, 1))
-            for heights in _height_sequences(self.region.b_heights, self.region.t_heights)
-        ]
-
-    def bases(self) -> list[frozenset[int]]:
-        """``base_bits`` decoded in reverse, which is the lexicographic order
-        of north-step sets: where two paths first differ, the higher one
-        takes a north step where the lower takes an east step."""
-        ground = range(1, self.ground_size + 1)
-        return [
-            frozenset(e for e in ground if bits >> e & 1) for bits in reversed(self.base_bits())
-        ]
+        return exchange_masks(self.base_bits, self.ground_size)
 
 
 @dataclass(frozen=True)
@@ -120,8 +90,10 @@ def reversed_order(m: int) -> LinearOrder:
 def lpm_oracle(region: Region) -> BasesOracle:
     """Bases are the y-subsets of [x+y] that are the north-step positions of
     some path in the region.  ``is_base`` tests one subset without listing
-    any; ``bases`` lists them from the region's paths, in the same order as
-    the subset filter."""
+    any.  ``base_bits`` takes each path's complement of its east positions
+    i + h_i (see ``paths``), in reversed height order, which is the
+    lexicographic order of north-step sets: where two paths first differ,
+    the higher one takes a north step where the lower takes an east step."""
     x, y = region.x, region.y
 
     def is_base(subset: frozenset[int]) -> bool:
@@ -133,11 +105,17 @@ def lpm_oracle(region: Region) -> BasesOracle:
             return False
         return contains(region, path)
 
-    return _PathMatroidOracle(x + y, y, is_base, region)
+    full = (1 << x + y + 1) - 2
+    bits = [
+        full - sum(1 << i + h for i, h in enumerate(heights, 1))
+        for heights in _height_sequences(region.b_heights, region.t_heights)
+    ]
+    return BasesOracle(x + y, y, is_base, tuple(reversed(bits)))
 
 
 def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
-    return BasesOracle(ground_size, rank, lambda s: len(s) == rank)
+    bits = (sum(1 << e for e in c) for c in combinations(range(1, ground_size + 1), rank))
+    return BasesOracle(ground_size, rank, lambda s: len(s) == rank, tuple(bits))
 
 
 def _row(oracle: BasesOracle, base: frozenset[int]) -> list[int]:
@@ -176,7 +154,7 @@ def activities(
     return len(internal), len(external)
 
 
-def exchange_masks(encoded: list[int], m: int) -> dict[int, list[int]]:
+def exchange_masks(encoded: tuple[int, ...], m: int) -> dict[int, list[int]]:
     """Map each base over the ground set 1..m, given as a bit mask (bit e
     set for element e), to its row: for each ground element e, the bit mask
     of the elements f such that exchanging e and f (one in the base, the

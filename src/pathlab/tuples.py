@@ -60,17 +60,13 @@ def v_stats(t: PathTuple) -> tuple[int, ...]:
 def u_stats(t: PathTuple) -> tuple[int, ...]:
     """Entry s-1 counts east edges at height y-s strictly between the
     boundaries that no path of the tuple uses, for s = 1 .. y-1."""
-    region = t.region
-    y = region.y
-    used = [set(p.heights[j] for p in t.paths) for j in range(region.x)]
-    out = []
-    for s in range(1, y):
-        height = y - s
-        count = 0
-        for j in range(region.x):
-            if region.b_heights[j] < height < region.t_heights[j] and height not in used[j]:
-                count += 1
-        out.append(count)
+    y = t.region.y
+    out = [0] * (y - 1)
+    for j, (b, top) in enumerate(zip(t.region.b_heights, t.region.t_heights)):
+        used = {p.heights[j] for p in t.paths}
+        for h in range(b + 1, top):
+            if h not in used:
+                out[y - h - 1] += 1
     return tuple(out)
 
 

@@ -343,23 +343,28 @@ def check_fan_determinants(max_n: int = 9) -> VerifyResult:
     return VerifyResult(name, True, f"{len(cases)} staircase cases up to n = {max_n}")
 
 
-def check_triangulation_counts(cases=((5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2))) -> VerifyResult:
+# the (n, k) polygons of the two triangulation sweeps
+_TRIANGULATION_CASES = ((5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2))
+_NICOLAS_CASES = ((5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (7, 2), (8, 2))
+
+
+def check_triangulation_counts() -> VerifyResult:
     name = "triangulation-counts"
-    for n, k in cases:
+    for n, k in _TRIANGULATION_CASES:
         count = sum(1 for _ in enumerate_k_triangulations(n, k))
         det = catalan_det(n, k)
         if count != det:
             return VerifyResult(name, False, f"{count} != {det}", f"n={n} k={k}")
-    return VerifyResult(name, True, f"{len(cases)} polygon cases")
+    return VerifyResult(name, True, f"{len(_TRIANGULATION_CASES)} polygon cases")
 
 
-def check_nicolas(cases=((5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (7, 2), (8, 2))) -> VerifyResult:
+def check_nicolas() -> VerifyResult:
     name = "triangulation-degrees"
-    for n, k in cases:
+    for n, k in _NICOLAS_CASES:
         report = nicolas_check(n, k)
         if not report.holds:
             return VerifyResult(name, False, "degree distributions differ", f"n={n} k={k}")
-    return VerifyResult(name, True, f"{len(cases)} (n, k) cases")
+    return VerifyResult(name, True, f"{len(_NICOLAS_CASES)} (n, k) cases")
 
 
 def check_permutation_bridge(max_n: int = 7) -> VerifyResult:

@@ -138,10 +138,15 @@ def test_activities_empty_base_on_rank_zero_region(capsys):
 
 
 def test_activities_empty_base_on_positive_rank_is_not_a_base(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["activities", "--T", "NE", "--B", "EN", "--base", ""])
-    assert err.value.code == 2
+    assert main(["activities", "--T", "NE", "--B", "EN", "--base", ""]) == 2
     assert capsys.readouterr().err == "error: [] is not a base of the region's path matroid\n"
+
+
+def test_empty_boundaries_name_the_empty_region(capsys):
+    code, out = run(capsys, "dist", "--T", "", "--B", "", "--stats", "t,b")
+    assert (code, out) == (0, "1\n")
+    assert main(["tutte", "--T", "N", "--B", ""]) == 2
+    assert capsys.readouterr().err == "error: boundaries must share their endpoint\n"
 
 
 def test_perm_verb(capsys):
@@ -230,9 +235,7 @@ def test_malformed_path_or_region_is_usage_error(capsys, argv):
 
 
 def test_unknown_stat_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["dist", "--T", "NNEE", "--B", "ENEN", "--stats", "t,q"])
-    assert err.value.code == 2
+    assert main(["dist", "--T", "NNEE", "--B", "ENEN", "--stats", "t,q"]) == 2
     message = capsys.readouterr().err
     assert message.startswith("error:") and message.count("\n") == 1
 
@@ -262,9 +265,7 @@ def test_unknown_stat_is_usage_error(capsys):
     ],
 )
 def test_bad_verb_input_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -69,6 +69,33 @@ def test_u_stats_all_used():
     assert u_stats(t) == (0,)
 
 
+def u_stats_by_definition(t):
+    """The definition: for each height y-s, scan every column for an east
+    edge strictly between the boundaries that no path uses."""
+    region = t.region
+    y = region.y
+    used = [set(p.heights[j] for p in t.paths) for j in range(region.x)]
+    out = []
+    for s in range(1, y):
+        height = y - s
+        count = 0
+        for j in range(region.x):
+            if region.b_heights[j] < height < region.t_heights[j] and height not in used[j]:
+                count += 1
+        out.append(count)
+    return tuple(out)
+
+
+def test_u_stats_match_definition():
+    checked = 0
+    for region in all_regions(6):
+        for k in range(4):  # k = 0 leaves every edge unused
+            for t in enumerate_tuples(region, k):
+                assert u_stats(t) == u_stats_by_definition(t), t
+                checked += 1
+    assert checked == 40656
+
+
 def test_v_stats_wide_path():
     t = PathTuple(WIDE, (Path((0, 3, 3, 3, 5, 5, 5, 5, 5, 7), 7),))
     assert v_stats(t) == (2, 1)
