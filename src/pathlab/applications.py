@@ -387,14 +387,16 @@ def regions_touching_only_at_ends(n: int) -> list[Region]:
     Such a top starts with N and ends with E: t_1 >= 1 and t_n = n.  Such a
     bottom starts with E, b_1 = 0, and at each inner x-coordinate i its
     vertical run, up to b_{i+1}, stays below the top's, from t_i: so
-    b_{i+1} <= t_i - 1.
+    b_{i+1} <= t_i - 1.  Every height lies in [0, n] and the caps keep the
+    bottom below the top, so the paths and regions skip their checks.
     """
     regions = []
     lows = (1,) * (n - 1) + (n,) if n else ()
     for top in _height_sequences(lows, (n,) * n):
+        top_path = Path._of(top, n)
         caps = (0, *(t - 1 for t in top))[:n]
         for bottom in _height_sequences((0,) * n, caps):
-            regions.append(Region(Path(top, n), Path(bottom, n)))
+            regions.append(Region._of(top_path, Path._of(bottom, n)))
     return regions
 
 

@@ -37,14 +37,24 @@ def enumerate_paths(region: Region, south_allowed: bool = False) -> Iterator[Pat
 
 
 def all_regions(max_semi: int) -> Iterator[Region]:
-    """Every boundary pair with x + y at most the bound."""
+    """Every boundary pair with x + y at most the bound, by x + y and then
+    by x; within one (x, y) the tops come in lexicographic height order and,
+    under each top, the bottoms in the same order.
+
+    The bottoms of a top are the height sequences that ``_height_sequences``
+    lists capped column by column by the top, which is exactly the pairs
+    where the top dominates.  Each height vector becomes one ``Path`` per
+    (x, y), shared by every region it bounds, and the regions skip the
+    checks of ``Region``.
+    """
     for total in range(0, max_semi + 1):
         for x in range(0, total + 1):
-            paths = list(enumerate_paths(Region.rectangle(x, total - x)))
-            for top in paths:
-                for bottom in paths:
-                    if all(t >= b for t, b in zip(top.heights, bottom.heights)):
-                        yield Region(top, bottom)
+            y = total - x
+            floor = (0,) * x
+            paths = {h: Path._of(h, y) for h in _height_sequences(floor, (y,) * x)}
+            for top in paths.values():
+                for heights in _height_sequences(floor, top.heights):
+                    yield Region._of(top, paths[heights])
 
 
 def _height_sequences(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -205,6 +205,16 @@ class Region:
                     f"dominance violated at column {i + 1}: top {th} < bottom {bh}"
                 )
 
+    @classmethod
+    def _of(cls, top: Path, bottom: Path) -> "Region":
+        """A region whose boundaries are known to be monotone paths to one
+        endpoint, the top weakly above the bottom in every column: the
+        checks of ``__post_init__`` are skipped.  For trusted callers only."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "top", top)
+        object.__setattr__(region, "bottom", bottom)
+        return region
+
     @property
     def x(self) -> int:
         return self.top.x

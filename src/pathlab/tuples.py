@@ -77,8 +77,10 @@ def _replace(t: PathTuple, i: int, new_path: Path) -> PathTuple:
 
 
 def _inner_region(t: PathTuple, i: int) -> Region:
+    """The region between the neighbours of the i-th path; the tuple's
+    checks already nest them, so the region skips its own."""
     chain = t.with_boundaries()
-    return Region(chain[i - 1], chain[i + 1])
+    return Region._of(chain[i - 1], chain[i + 1])
 
 
 def transpose_h(t: PathTuple, i: int) -> PathTuple:

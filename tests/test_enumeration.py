@@ -1,10 +1,13 @@
 import random
+from collections import defaultdict
 from itertools import product
+from math import comb
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pathlab.applications import regions_touching_only_at_ends
 from pathlab.cli import main
 from pathlab.enumeration import (
     CONTACT_STATS,
@@ -19,6 +22,7 @@ from pathlab.enumeration import (
 )
 from pathlab.paths import Path, Region, contact_stats, parse_path
 from pathlab.polynomials import MultiPoly, parse_poly
+from pathlab.tuples import _inner_region
 from pathlab.verify import all_regions
 
 SMALL = Region.from_steps("NNENEE", "ENEENN")
@@ -59,6 +63,55 @@ def test_wide_region_is_not_bounded_by_the_recursion_limit(capsys):
     assert path_distribution(region, ["t", "b"]).coefficient_sum() == 1201
     assert main(["enumerate", "--T", top, "--B", bottom]) == 0
     assert capsys.readouterr().out.endswith("total 1201\n")
+
+
+def filtered_regions(max_semi: int):
+    """The oracle for ``all_regions``: pair every two paths of each
+    rectangle and keep, through the checked ``Region``, the pairs where the
+    first dominates."""
+    for total in range(0, max_semi + 1):
+        for x in range(0, total + 1):
+            paths = list(enumerate_paths(Region.rectangle(x, total - x)))
+            for top in paths:
+                for bottom in paths:
+                    if all(t >= b for t, b in zip(top.heights, bottom.heights)):
+                        yield Region(top, bottom)
+
+
+def test_all_regions_match_the_filtered_pairs_in_order():
+    for n in range(8):
+        assert list(all_regions(n)) == list(filtered_regions(n))
+
+
+def test_unchecked_regions_pass_the_full_checks():
+    # all_regions, regions_touching_only_at_ends and _inner_region build
+    # their regions without the checks of Region.__post_init__; each must
+    # equal the region rebuilt from checked paths
+    built = list(all_regions(7))
+    built += [r for n in range(7) for r in regions_touching_only_at_ends(n)]
+    built += [
+        _inner_region(t, i)
+        for region in all_regions(5)
+        for k in (1, 2)
+        for t in enumerate_tuples(region, k)
+        for i in range(1, k + 1)
+    ]
+    for region in built:
+        t, b = region.top, region.bottom
+        assert Region(Path(t.heights, t.y), Path(b.heights, b.y)) == region
+
+
+def test_all_regions_share_one_path_per_height_vector():
+    # at most C(x+y, x) distinct boundary objects per (x, y): a fresh Path
+    # per region would cost the involution workload a quarter more memory;
+    # the list keeps every region alive, so no id is reused
+    regions = list(all_regions(8))
+    boundaries = defaultdict(set)
+    for region in regions:
+        boundaries[region.x, region.y].update((id(region.top), id(region.bottom)))
+    assert len(boundaries) == 45
+    for (x, y), ids in boundaries.items():
+        assert len(ids) <= comb(x + y, x), (x, y)
 
 
 def test_descent_class_members(capsys):
