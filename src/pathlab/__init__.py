@@ -23,7 +23,6 @@ from .enumeration import (
     enumerate_tuples,
     lgv_count,
     path_distribution,
-    poly_symmetric,
 )
 from .tuples import PathTuple, apply_perm_h, h_stats, transpose_h, u_stats, v_stats
 from .matroids import (
@@ -37,23 +36,16 @@ from .matroids import (
     phi_xy,
     reorder_bijection,
     reversed_order,
-    strong_exchange,
     tutte_poly,
     uniform_oracle,
 )
 from .tableaux import (
     Tableau,
     YoungShape,
-    easy_bijection,
-    find_violations,
     flagged_schur,
-    is_perflagged,
-    j_inv_move,
-    j_move,
     psi,
     psi_inv,
     tab_of_tuple,
-    tuple_of_tab,
 )
 from .applications import (
     Watermelon,
@@ -62,7 +54,6 @@ from .applications import (
     conjecture_53_check,
     contact_formula_count,
     corollary_ij_check,
-    easy_bottom_count,
     path_of_perm,
     perm_of_path,
     perm_stats,

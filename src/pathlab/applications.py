@@ -11,7 +11,6 @@ from math import comb
 
 from .enumeration import (
     _height_sequences,
-    all_regions,
     enumerate_paths,
     enumerate_tuples,
     path_distribution,
@@ -81,27 +80,6 @@ def corollary_ij_check(region: Region) -> IJReport:
     if not report.agree:
         raise InvariantError(f"conditions disagree on {region}")
     return report
-
-
-def easy_bottom_count(region: Region, i: int, j: int) -> int:
-    """Paths with i top and j bottom contacts, counted by the reduction to
-    paths into a smaller rectangle above the truncated bottom boundary."""
-    y = region.y
-    if any(t != y for t in region.t_heights):
-        raise ValueError("top boundary must be of the form N^y E^x")
-    if region.b_heights and region.b_heights[-1] == y:
-        raise ValueError("bottom boundary must end with a north step")
-    c = i + j
-    width = region.x - c
-    if width < 0:
-        return 0
-    if y < 2:
-        return 1 if width == 0 else 0
-    bounds = region.b_heights[:width]
-    if any(b > y - 2 for b in bounds):
-        return 0
-    smaller = Region(Path((y - 2,) * width, y - 2), Path(bounds, y - 2))
-    return sum(1 for _ in enumerate_paths(smaller))
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +333,6 @@ def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int,
             e = x - 1 - i
             families[e] += counts.get(y + 2 * k + e - 3, 0)
     return lhs, {e: count for e, count in enumerate(families) if count}
-
-
-def find_tbl_btr_counterexample(max_semi: int) -> Region | None:
-    """First region where the triple distributions (t, b, l) and (b, t, r)
-    differ; None if the sweep finds none.  The involution machinery only
-    exchanges the pair, so small counterexamples to the triple exist."""
-    for region in all_regions(max_semi):
-        lhs = path_distribution(region, ["t", "b", "l"])
-        rhs = path_distribution(region, ["b", "t", "r"])
-        if lhs != rhs:
-            return region
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,29 @@ def cmd_nicolas_check(args) -> int:
     return 0 if report.holds else 1
 
 
+# What ``verify --max M`` bounds in each sweep of ``verify.SUITES``.
+_VERIFY_EPILOG = """\
+--max M (at least 1, default 6) bounds each sweep as follows:
+  activity-contacts      regions with x+y <= min(M, 5)
+  activity-reorder       regions with x+y <= min(M, 6); uniform matroids
+                         on up to 5 elements whatever M is
+  bltr-tuples            regions with x+y <= min(M, 5), k <= 2
+  closed-formulas        case 1 with n+r+s <= min(M, 7); case 2 on a fixed grid
+  conjectures            n <= min(M, 4)
+  contact-involution     regions with x+y <= M
+  fan-determinants       n <= max(M, 9)
+  negative-control       ignores M
+  permutation-bridge     n <= min(M, 7)
+  switch-words           words of length <= min(2M, 14)
+  tableau-bijection      shapes in a min(M, 4) box, k <= 3
+  triangulation-counts   ignores M
+  triangulation-degrees  ignores M
+  tuple-symmetry         regions with x+y <= min(M, 8), k <= 3
+  tutte-orders           regions with x+y <= min(M, 6)
+  watermelons            x <= min(M, 8)
+"""
+
+
 def cmd_verify(args) -> int:
     if args.list:
         for name in sorted(SUITES):
@@ -534,7 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_nicolas_check)
 
-    p = sub.add_parser("verify", help="run named verification sweeps")
+    p = sub.add_parser(
+        "verify",
+        help="run named verification sweeps",
+        epilog=_VERIFY_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p.add_argument("--suite", default="all")
     p.add_argument("--max", type=int, default=6)
     p.add_argument("--list", action="store_true")

@@ -123,11 +123,6 @@ def distribution(
     return MultiPoly(names, terms)
 
 
-def poly_symmetric(p: MultiPoly, perm: dict[str, str]) -> bool:
-    """Whether the polynomial is invariant under the variable permutation."""
-    return p == p.permute_variables(perm)
-
-
 CONTACT_STATS = ("t", "b", "l", "r")
 
 
@@ -213,10 +208,11 @@ def lgv_count(region: Region, k: int) -> int:
     paths, the i-th one translated i steps along the diagonal (1, -1), that
     also avoid the top boundary and the bottom boundary translated k+1
     steps.  Entry (i, j) counts single paths from (j, -j) to
-    (x + i, y - i) avoiding those two vertex sets.
+    (x + i, y - i) avoiding those two vertex sets.  With k = 0 the matrix
+    is empty and its determinant, 1, counts the one empty tuple.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if k < 0:
+        raise ValueError("k must be a natural number")
     x, y = region.x, region.y
     shift = k + 1
     forbidden = frozenset(vertices(region.top)) | frozenset(

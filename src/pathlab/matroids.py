@@ -212,18 +212,6 @@ def tutte_poly(oracle: BasesOracle, order: LinearOrder) -> MultiPoly:
     return MultiPoly(("x", "y"), activity_terms(oracle.masks, order.ranking))
 
 
-def strong_exchange(
-    oracle: BasesOracle, c_base: frozenset[int], d_base: frozenset[int], d: int
-) -> int:
-    """First element c of C minus D with both C-c+d and D-d+c bases."""
-    if d not in d_base or d in c_base:
-        raise ValueError("d must lie in D and not in C")
-    for c in sorted(c_base - d_base):
-        if oracle.is_base(c_base - {c} | {d}) and oracle.is_base(d_base - {d} | {c}):
-            return c
-    raise ValueError("strong exchange failed: oracle is not a matroid")
-
-
 def phi_xy(
     oracle: BasesOracle,
     order: LinearOrder,

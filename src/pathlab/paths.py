@@ -236,11 +236,6 @@ class Region:
         return cls(parse_path(top), parse_path(bottom))
 
     @classmethod
-    def rectangle(cls, x: int, y: int) -> "Region":
-        """The region of every monotone path from (0,0) to (x,y)."""
-        return cls(Path((y,) * x, y), Path((0,) * x, y))
-
-    @classmethod
     def parse(cls, text: str) -> "Region":
         """Parse the textual form ``T=<steps>;B=<steps>``; the two labelled
         parts may come in either order."""

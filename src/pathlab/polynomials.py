@@ -36,10 +36,6 @@ class MultiPoly:
         vs = tuple(variables)
         return cls(vs, {(0,) * len(vs): 1})
 
-    @classmethod
-    def monomial(cls, variables, exponents, coef: int = 1) -> "MultiPoly":
-        return cls(tuple(variables), {tuple(exponents): coef})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -60,9 +56,6 @@ class MultiPoly:
         for exp, coef in other.terms.items():
             terms[exp] = terms.get(exp, 0) + coef
         return MultiPoly(self.variables, terms)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -103,9 +96,6 @@ class MultiPoly:
             raise ValueError("not a permutation of the polynomial's variables")
         return MultiPoly(renamed, dict(self.terms)).with_variable_order(self.variables)
 
-    def add_monomial(self, exponents, coef: int = 1) -> "MultiPoly":
-        return self + MultiPoly.monomial(self.variables, exponents, coef)
-
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())
 
@@ -118,14 +108,6 @@ class MultiPoly:
             "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms()],
         }
         return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiPoly":
-        payload = json.loads(text)
-        return cls(
-            tuple(payload["vars"]),
-            {tuple(t["exp"]): t["coef"] for t in payload["terms"]},
-        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -147,29 +129,6 @@ class MultiPoly:
             else:
                 bits.append(f"{coef}*{body}")
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def parse_poly(text: str, variables) -> MultiPoly:
-    """Parse the plain-text form produced by ``str`` (for tests and the CLI)."""
-    variables = tuple(variables)
-    poly = MultiPoly.zero(variables)
-    text = text.replace("-", "+-").replace(" ", "")
-    for chunk in text.split("+"):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign, chunk = -1, chunk[1:]
-        coef = 1
-        exps = [0] * len(variables)
-        for factor in chunk.split("*"):
-            if factor.isdigit():
-                coef *= int(factor)
-                continue
-            name, _, power = factor.partition("^")
-            exps[variables.index(name)] += int(power) if power else 1
-        poly = poly.add_monomial(exps, sign * coef)
-    return poly
 
 
 def h_complete(n: int, nvars: int, variables) -> MultiPoly:

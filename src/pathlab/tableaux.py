@@ -1,14 +1,17 @@
-"""Young shapes, flagged tableaux, and the weight-preserving bijection
-between nested path tuples and flagged semistandard tableaux.
+"""Young shapes, flagged semistandard tableaux, the direct filling of a
+nested path tuple, the weight-preserving bijection psi and its inverse,
+and the determinantal weight polynomial of flagged tableaux.
 
-The bijection starts from a direct cell-filling of a tuple and repairs its
-ordering defects one local move at a time; the moves are invertible, so the
-whole pipeline is too.  Entries at most k+1 are called small, larger ones
-large; a large entry equal to k+r in row r is maximal.
+psi starts from the direct filling of a tuple and repairs its ordering
+defects one local move at a time; the moves are invertible, so psi_inv
+undoes them.  Entries at most k+1 are called small, larger ones large; a
+large entry equal to k+r in row r is maximal.
 
 Both repairs run on mutable rows with one violation scan per move and
 freeze to a Tableau only at the API boundary.  Every move must change the
-potential in its direction, which bounds both loops.
+potential, the sum of (r + c) * e over the cells, in its direction, which
+bounds both loops.  The single moves on a Tableau and the relaxed flagged
+conditions they keep are test oracles in tests/test_tableaux.py.
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ class YoungShape:
     @property
     def width(self) -> int:
         return self.parts[0] if self.parts else 0
-
-    def cells(self):
-        for r, length in enumerate(self.parts, start=1):
-            for c in range(1, length + 1):
-                yield (r, c)
 
 
 def shape_from_region(region: Region) -> YoungShape:
@@ -93,12 +91,6 @@ class Tableau:
             return self.rows[r - 1][c - 1]
         return None
 
-    def is_small(self, e: int) -> bool:
-        return e <= self.k + 1
-
-    def is_maximal(self, r: int, e: int) -> bool:
-        return e == self.k + r
-
     def text(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows if row)
 
@@ -111,76 +103,6 @@ def weight(t: Tableau) -> tuple[int, ...]:
         for e in row:
             counts[e - 1] += 1
     return tuple(counts)
-
-
-def potential(t: Tableau) -> int:
-    return sum(
-        (r + c) * e
-        for r, row in enumerate(t.rows, start=1)
-        for c, e in enumerate(row, start=1)
-    )
-
-
-def _chain_exists(t: Tableau, a: Cell, b: Cell) -> bool:
-    """Reachability sweep for the equal-small-entries condition: from cell a
-    one must be able to step down row by row, never moving west, through
-    cells bounded by their northeast neighbour, ending strictly west of b."""
-    (r1, c1), (r2, c2) = a, b
-    reach = c1
-    for r in range(r1 + 1, r2 + 1):
-        best = None
-        for c in range(reach, len(t.rows[r - 1]) + 1):
-            ne = t.entry(r - 1, c + 1)
-            if ne is not None and t.rows[r - 1][c - 1] <= ne:
-                best = c
-                break
-        if best is None:
-            return False
-        reach = best
-    return reach < c2
-
-
-def perflagged_violations(t: Tableau) -> list[str]:
-    """Reasons the tableau fails the relaxed flagged-tableau conditions;
-    empty when it satisfies them."""
-    problems = []
-    k = t.k
-    for r, row in enumerate(t.rows, start=1):
-        for c, e in enumerate(row, start=1):
-            if e < 1:
-                problems.append(f"entry at ({r},{c}) is not positive")
-            if e > k + r:
-                problems.append(f"entry {e} at ({r},{c}) exceeds flag bound {k + r}")
-    cells = list(t.shape.cells())
-    for r, c in cells:
-        e1 = t.rows[r - 1][c - 1]
-        for c2 in range(c + 1, len(t.rows[r - 1]) + 1):
-            e2 = t.rows[r - 1][c2 - 1]
-            if t.is_small(e1) == t.is_small(e2) and e1 > e2:
-                problems.append(f"row {r}: same-class entries decrease at columns {c},{c2}")
-    for r1, c1 in cells:
-        e1 = t.rows[r1 - 1][c1 - 1]
-        for r2 in range(r1 + 1, len(t.rows) + 1):
-            for c2 in range(c1, len(t.rows[r2 - 1]) + 1):
-                e2 = t.rows[r2 - 1][c2 - 1]
-                if t.is_small(e1) and t.is_small(e2):
-                    if e1 > e2:
-                        problems.append(
-                            f"small entries decrease from ({r1},{c1}) to ({r2},{c2})"
-                        )
-                    elif e1 == e2 and not _chain_exists(t, (r1, c1), (r2, c2)):
-                        problems.append(
-                            f"equal small entries at ({r1},{c1}) and ({r2},{c2}) lack a chain"
-                        )
-                elif not t.is_small(e1) and not t.is_small(e2) and e1 >= e2:
-                    problems.append(
-                        f"large entries fail to increase from ({r1},{c1}) to ({r2},{c2})"
-                    )
-    return problems
-
-
-def is_perflagged(t: Tableau) -> bool:
-    return not perflagged_violations(t)
 
 
 def is_flagged_ssyt(t: Tableau) -> bool:
@@ -196,18 +118,10 @@ def is_flagged_ssyt(t: Tableau) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Violations:
-    semistandard: tuple[Cell, ...]
-    minimal: Cell | None
-    path: tuple[Cell, ...]
-    maximal: Cell | None
-
-
 def _violations(rows, k: int) -> tuple[list[Cell], list[Cell]]:
     """Semistandard and path violations of a filling given as rows of
     entries (lists or tuples), each in row-major order.  This one scan
-    serves find_violations and both repair loops."""
+    serves both repair loops."""
     small = k + 1
     ssv: list[Cell] = []
     pv: list[Cell] = []
@@ -259,24 +173,6 @@ def _select(rows, cells: list[Cell], sign: int, what: str) -> Cell | None:
     return best
 
 
-def find_violations(t: Tableau) -> Violations:
-    """Cells breaking the semistandard order, and cells whose neighbourhood
-    betrays a misplaced large entry.
-
-    The minimal semistandard violation has the smallest entry, ties broken
-    by the leftmost column; the maximal path violation has the largest
-    entry, ties broken by the rightmost column.
-    """
-    rows = t.rows
-    ssv, pv = _violations(rows, t.k)
-    return Violations(
-        tuple(ssv),
-        _select(rows, ssv, 1, "minimal semistandard violation"),
-        tuple(pv),
-        _select(rows, pv, -1, "maximal path violation"),
-    )
-
-
 def _j_step(rows: list[list[int]], r: int, c: int) -> int:
     """The j-move in place at the minimal semistandard violation (r, c).
     Returns the change of potential: swapping e with its neighbour a, above
@@ -312,28 +208,6 @@ def _j_inv_step(rows: list[list[int]], r: int, c: int, k: int) -> int:
     raise InvariantError("path violation without a large neighbour")
 
 
-def j_move(t: Tableau) -> Tableau:
-    """Swap the minimal semistandard violation with its upper or left
-    neighbour, whichever restores local order."""
-    v = find_violations(t)
-    if v.minimal is None:
-        raise ValueError("no semistandard violation to correct")
-    rows = [list(row) for row in t.rows]
-    _j_step(rows, *v.minimal)
-    return Tableau(rows, t.k)
-
-
-def j_inv_move(t: Tableau) -> Tableau:
-    """Inverse move: swap the maximal path violation with the smaller of the
-    large entries below or to its right (below on ties)."""
-    v = find_violations(t)
-    if v.maximal is None:
-        raise ValueError("no path violation to correct")
-    rows = [list(row) for row in t.rows]
-    _j_inv_step(rows, *v.maximal, t.k)
-    return Tableau(rows, t.k)
-
-
 def tab_of_tuple(pt: PathTuple) -> Tableau:
     """Direct filling: each cell takes one more than the index of the lowest
     path whose east step bounds it above (the top boundary counts as index
@@ -358,18 +232,10 @@ def tab_of_tuple(pt: PathTuple) -> Tableau:
     return Tableau(tuple(rows), k)
 
 
-def tuple_of_tab(t: Tableau) -> PathTuple:
-    """Inverse of the direct filling; defined on tableaux without path
-    violations."""
-    if find_violations(t).path:
-        raise ValueError("tableau has path violations")
-    return _tuple_of_rows(t.rows, t.k)
-
-
 def _tuple_of_rows(rows, k: int) -> PathTuple:
-    """tuple_of_tab on rows of entries already known to have no path
-    violation: in each column the small entries, top down, say where the
-    paths they index cross that column."""
+    """The inverse of the direct filling, on rows of entries already known
+    to have no path violation: in each column the small entries, top down,
+    say where the paths they index cross that column."""
     region = region_of_shape(YoungShape(tuple(len(row) for row in rows)))
     y, x = region.y, region.x
     small = k + 1
@@ -439,24 +305,6 @@ def psi_inv(t: Tableau) -> PathTuple:
         if _j_inv_step(rows, r, c, k) >= 0:
             raise InvariantError("inverse move must lower the potential")
     raise InvariantError("inverse move iteration exceeded its bound")
-
-
-def easy_bijection(pt: PathTuple) -> Tableau:
-    """Cardinality witness: fill each cell with the number of tuple paths
-    passing weakly above it, then add the row index everywhere."""
-    region = pt.region
-    shape = shape_from_region(region)
-    y = region.y
-    rows = []
-    for r in range(1, y + 1):
-        edge = y - r + 1
-        rows.append(
-            tuple(
-                sum(1 for p in pt.paths if p.heights[c - 1] >= edge) + r
-                for c in range(1, shape.parts[r - 1] + 1)
-            )
-        )
-    return Tableau(tuple(rows), pt.k)
 
 
 def enumerate_flagged_ssyt(shape: YoungShape, k: int):

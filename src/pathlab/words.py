@@ -31,11 +31,6 @@ def factorize(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(unmatched_b), tuple(stack)
 
 
-def unmatched_count(word: str) -> int:
-    bs, ts = factorize(word)
-    return len(bs) + len(ts)
-
-
 def switch(word: str) -> str:
     """Replace the leftmost unmatched t with a b."""
     _, ts = factorize(word)

@@ -1,0 +1,35 @@
+"""Test oracles that more than one test module uses.
+
+An oracle that only one module needs lives in that module.
+"""
+
+from pathlab.paths import Path, Region
+from pathlab.polynomials import MultiPoly
+
+
+def parse_poly(text: str, variables) -> MultiPoly:
+    """Parse the plain-text form that ``str`` of a ``MultiPoly`` prints."""
+    variables = tuple(variables)
+    terms: dict[tuple[int, ...], int] = {}
+    for chunk in text.replace("-", "+-").replace(" ", "").split("+"):
+        if not chunk:
+            continue
+        sign = 1
+        if chunk.startswith("-"):
+            sign, chunk = -1, chunk[1:]
+        coef = 1
+        exps = [0] * len(variables)
+        for factor in chunk.split("*"):
+            if factor.isdigit():
+                coef *= int(factor)
+                continue
+            name, _, power = factor.partition("^")
+            exps[variables.index(name)] += int(power) if power else 1
+        exp = tuple(exps)
+        terms[exp] = terms.get(exp, 0) + sign * coef
+    return MultiPoly(variables, terms)
+
+
+def rectangle(x: int, y: int) -> Region:
+    """The region of every monotone path from (0, 0) to (x, y)."""
+    return Region(Path((y,) * x, y), Path((0,) * x, y))

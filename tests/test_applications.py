@@ -19,8 +19,6 @@ from pathlab.applications import (
     contact_formula_count,
     corollary_ij_check,
     dyck_region,
-    easy_bottom_count,
-    find_tbl_btr_counterexample,
     path_of_perm,
     perm_of_path,
     perm_stats,
@@ -34,6 +32,8 @@ from pathlab.paths import Path, Region, contact_stats, descent_set, parse_path, 
 from pathlab.swaps import contact_word
 from pathlab.tuples import h_stats
 from pathlab.verify import all_regions
+
+from oracles import rectangle
 
 
 def test_corollary_conditions_agree_everywhere_small():
@@ -77,6 +77,26 @@ def test_corollary_good_region():
 def test_corollary_degenerate_region():
     rep = corollary_ij_check(Region.from_steps("EN", "EN"))
     assert rep.agree and not rep.cond_boundary
+
+
+def easy_bottom_count(region: Region, i: int, j: int) -> int:
+    """Paths with i top and j bottom contacts, counted by the reduction to
+    paths into a smaller rectangle above the truncated bottom boundary."""
+    y = region.y
+    if any(t != y for t in region.t_heights):
+        raise ValueError("top boundary must be of the form N^y E^x")
+    if region.b_heights and region.b_heights[-1] == y:
+        raise ValueError("bottom boundary must end with a north step")
+    width = region.x - i - j
+    if width < 0:
+        return 0
+    if y < 2:
+        return 1 if width == 0 else 0
+    bounds = region.b_heights[:width]
+    if any(b > y - 2 for b in bounds):
+        return 0
+    smaller = Region(Path((y - 2,) * width, y - 2), Path(bounds, y - 2))
+    return sum(1 for _ in enumerate_paths(smaller))
 
 
 def test_easy_bottom_count():
@@ -340,7 +360,7 @@ def filtered_regions_touching_only_at_ends(n: int) -> list[Region]:
     """The oracle for ``regions_touching_only_at_ends``: every pair of
     paths in the square, kept when the top dominates the bottom and their
     vertices meet only at the two ends."""
-    paths = list(enumerate_paths(Region.rectangle(n, n)))
+    paths = list(enumerate_paths(rectangle(n, n)))
     ends = {(0, 0), (n, n)}
     regions = []
     for top in paths:
@@ -375,6 +395,16 @@ def test_conjecture_checkers_hold_small():
     for n in (1, 2, 3):
         assert conjecture_52_check(n).holds
         assert conjecture_53_check(n).holds
+
+
+def find_tbl_btr_counterexample(max_semi: int) -> Region | None:
+    """First region where the triple distributions (t, b, l) and (b, t, r)
+    differ; None if the sweep finds none.  The involution only exchanges
+    the pair, so small counterexamples to the triple exist."""
+    for region in all_regions(max_semi):
+        if path_distribution(region, ["t", "b", "l"]) != path_distribution(region, ["b", "t", "r"]):
+            return region
+    return None
 
 
 def test_triple_distribution_counterexample_exists():

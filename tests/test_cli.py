@@ -189,6 +189,41 @@ def test_verify_single_suite(capsys):
     assert out.startswith("ok")
 
 
+# Stdout of ``verify --suite all --max 3``: one line per sweep with what it
+# covered, so a change to what any sweep checks shows here.
+VERIFY_ALL_MAX_3 = """\
+ok   activity-contacts: 31 paths checked (x+y <= 3)
+ok   activity-reorder: 1788 base transpositions checked
+ok   bltr-tuples: 73 tuples checked (x+y <= 3, k <= 2)
+ok   closed-formulas: families swept to total 3
+ok   conjectures: both conjectures hold for n <= 3
+ok   contact-involution: 32 paths over 22 regions (x+y <= 3)
+ok   fan-determinants: 14 staircase cases up to n = 9
+ok   negative-control: pair-count control values confirmed
+ok   permutation-bridge: 9 paths across n <= 3
+ok   switch-words: 127 words checked up to length 6
+ok   tableau-bijection: 5287 tuples over shapes in a 3x3 box, k <= 3
+ok   triangulation-counts: 7 polygon cases
+ok   triangulation-degrees: 7 (n, k) cases
+ok   tuple-symmetry: 128 tuples (x+y <= 3, k <= 3)
+ok   tutte-orders: 22 regions, all ground orders (x+y <= 3)
+ok   watermelons: 10 (x, y, k) cases with x <= 3
+"""
+
+
+def test_verify_all_at_max_3_matches_its_golden(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--max", "3")
+    assert code == 0
+    assert out == VERIFY_ALL_MAX_3
+
+
+def test_verify_help_says_what_max_bounds_in_every_suite(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    rows = capsys.readouterr().out.split("bounds each sweep as follows:\n", 1)[1].splitlines()
+    assert [row.split()[0] for row in rows if row[2] != " "] == sorted(SUITES)
+
+
 def test_verify_list(capsys):
     code, out = run(capsys, "verify", "--list")
     assert code == 0

@@ -18,12 +18,13 @@ from pathlab.enumeration import (
     enumerate_tuples,
     lgv_count,
     path_distribution,
-    poly_symmetric,
 )
 from pathlab.paths import Path, Region, contact_stats, parse_path
-from pathlab.polynomials import MultiPoly, parse_poly
+from pathlab.polynomials import MultiPoly
 from pathlab.tuples import _inner_region
 from pathlab.verify import all_regions
+
+from oracles import parse_poly, rectangle
 
 SMALL = Region.from_steps("NNENEE", "ENEENN")
 
@@ -71,7 +72,7 @@ def filtered_regions(max_semi: int):
     first dominates."""
     for total in range(0, max_semi + 1):
         for x in range(0, total + 1):
-            paths = list(enumerate_paths(Region.rectangle(x, total - x)))
+            paths = list(enumerate_paths(rectangle(x, total - x)))
             for top in paths:
                 for bottom in paths:
                     if all(t >= b for t, b in zip(top.heights, bottom.heights)):
@@ -212,19 +213,19 @@ def test_distribution_is_multiset_invariant():
     assert base.coefficient_sum() == 10
 
 
-def test_poly_symmetric():
-    tb = path_distribution(SMALL, ["t", "b"])
-    assert poly_symmetric(tb, {"x": "y", "y": "x"})
-    mono = MultiPoly(("x", "y"), {(2, 1): 1})
-    assert not poly_symmetric(mono, {"x": "y", "y": "x"})
-
-
 def test_lgv_examples():
     r = Region.from_steps("NE", "EN")
     assert lgv_count(r, 2) == 3
     assert lgv_count(SMALL, 1) == 15
     fan = Region.from_steps("NNEE", "ENEN")
     assert lgv_count(fan, 2) == sum(1 for _ in enumerate_tuples(fan, 2))
+
+
+def test_lgv_counts_the_empty_tuple():
+    for region in all_regions(4):
+        assert lgv_count(region, 0) == 1 == len(list(enumerate_tuples(region, 0)))
+    with pytest.raises(ValueError):
+        lgv_count(SMALL, -1)
 
 
 def test_lgv_matches_enumeration_exhaustive_small():
@@ -240,7 +241,7 @@ def test_lgv_matches_enumeration_sampled_large():
         total = rng.randint(7, 10)
         x = rng.randint(1, total - 1)
         y = total - x
-        paths = list(enumerate_paths(Region.rectangle(x, y)))
+        paths = list(enumerate_paths(rectangle(x, y)))
         top = rng.choice(paths)
         below = [
             p

@@ -8,6 +8,14 @@ SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 # may call an unchecked ``_of`` constructor; public construction and CLI
 # parsing keep every check.
 TRUSTED = {"enumeration", "swaps", "tuples", "applications"}
+# What runs the library outside the tests: the CLI, which holds every sweep
+# through ``verify.SUITES``, and the benchmark.
+ENTRY_POINTS = [ROOT / "src" / "pathlab" / "cli.py"] + sorted(
+    path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")
+)
+# The paper's constructive maps: no verb, sweep or workload calls them yet,
+# but they are what the paper defines, so they stay in the library.
+PAPER_MAPS = {"swap", "swap_inv", "transpose_h", "apply_perm_h"}
 
 
 def test_no_import_inside_a_function():
@@ -46,3 +54,44 @@ def test_only_trusted_generators_skip_the_checks():
         and calls_unchecked(func)
     ]
     assert not parsers, parsers
+
+
+def referenced(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_library_function_runs_outside_the_tests():
+    """Every module-level function and class of the library is reached from
+    the entry points, following the names each definition refers to; an
+    oracle only the tests use belongs in the tests.  Names are matched
+    without their module, which can only over-count what is reached."""
+    defined = {}
+    refers_to = {}
+    for source in PACKAGE:
+        for stmt in ast.parse(source.read_text(), str(source)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+                defined.setdefault(stmt.name, []).append(f"{source.stem}.{stmt.name}")
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                refers_to.setdefault(name, set()).update(referenced(stmt))
+    assert ENTRY_POINTS[1:] and PAPER_MAPS <= defined.keys()
+    reached = set()
+    todo = set().union(*(referenced(ast.parse(path.read_text(), str(path))) for path in ENTRY_POINTS))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo |= refers_to.get(name, set())
+    unreached = sorted(
+        where for name, places in defined.items() if name not in reached | PAPER_MAPS for where in places
+    )
+    assert not unreached, "not reached from the entry points: " + ", ".join(unreached)

@@ -7,6 +7,7 @@ import pytest
 from pathlab import matroids
 from pathlab.enumeration import enumerate_paths, path_distribution
 from pathlab.matroids import (
+    BasesOracle,
     LinearOrder,
     activities,
     active_elements,
@@ -19,7 +20,6 @@ from pathlab.matroids import (
     phi_xy,
     reorder_bijection,
     reversed_order,
-    strong_exchange,
     tutte_poly,
     uniform_oracle,
 )
@@ -111,6 +111,18 @@ def test_tutte_matches_contact_distributions():
     assert natural == rev
     assert natural == path_distribution(SMALL, ["l", "b"]).with_variable_order(("x", "y"))
     assert rev == path_distribution(SMALL, ["r", "t"]).with_variable_order(("x", "y"))
+
+
+def strong_exchange(
+    oracle: BasesOracle, c_base: frozenset[int], d_base: frozenset[int], d: int
+) -> int:
+    """First element c of C minus D with both C-c+d and D-d+c bases."""
+    if d not in d_base or d in c_base:
+        raise ValueError("d must lie in D and not in C")
+    for c in sorted(c_base - d_base):
+        if oracle.is_base(c_base - {c} | {d}) and oracle.is_base(d_base - {d} | {c}):
+            return c
+    raise ValueError("strong exchange failed: oracle is not a matroid")
 
 
 def test_strong_exchange():

@@ -49,3 +49,10 @@ def test_readme_command_output(line, capsys):
     out = capsys.readouterr().out
     assert code == GOLDENS[line]["exit"]
     assert out == GOLDENS[line]["stdout"]
+
+
+def test_readme_shows_what_verify_max_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    epilog = "--max M" + capsys.readouterr().out.split("\n--max M", 1)[1]
+    assert f"```text\n{epilog}```" in (ROOT / "README.md").read_text()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from itertools import product
 from math import comb
 from pathlib import Path as FilePath
@@ -11,26 +12,23 @@ from pathlab.enumeration import enumerate_tuples
 from pathlab.paths import Path, Region
 from pathlab.polynomials import MultiPoly
 from pathlab.tableaux import (
+    Cell,
     Tableau,
-    _violations,
     YoungShape,
-    easy_bijection,
+    _j_inv_step,
+    _j_step,
+    _select,
+    _tuple_of_rows,
+    _violations,
     enumerate_flagged_ssyt,
     expected_weight,
-    find_violations,
     flagged_schur,
     is_flagged_ssyt,
-    is_perflagged,
-    j_inv_move,
-    j_move,
-    perflagged_violations,
-    potential,
     psi,
     psi_inv,
     region_of_shape,
     shape_from_region,
     tab_of_tuple,
-    tuple_of_tab,
     weight,
 )
 from pathlab.tuples import PathTuple
@@ -57,6 +55,157 @@ WIDE_TRIPLE = PathTuple(
         Path((0, 1, 2, 4, 4, 5), 5),
     ),
 )
+
+
+# ---------------------------------------------------------------------------
+# Oracles.  psi and psi_inv repair mutable rows in one loop each; these take
+# one local move at a time on a Tableau and check the relaxed flagged
+# conditions the paper proves every move keeps.  Entries at most k+1 are
+# small, larger ones large; a large entry equal to k+r in row r is maximal.
+
+
+def potential(t: Tableau) -> int:
+    return sum(
+        (r + c) * e
+        for r, row in enumerate(t.rows, start=1)
+        for c, e in enumerate(row, start=1)
+    )
+
+
+def _chain_exists(t: Tableau, a: Cell, b: Cell) -> bool:
+    """Reachability sweep for the equal-small-entries condition: from cell a
+    one must be able to step down row by row, never moving west, through
+    cells bounded by their northeast neighbour, ending strictly west of b."""
+    (r1, c1), (r2, c2) = a, b
+    reach = c1
+    for r in range(r1 + 1, r2 + 1):
+        best = None
+        for c in range(reach, len(t.rows[r - 1]) + 1):
+            ne = t.entry(r - 1, c + 1)
+            if ne is not None and t.rows[r - 1][c - 1] <= ne:
+                best = c
+                break
+        if best is None:
+            return False
+        reach = best
+    return reach < c2
+
+
+def perflagged_violations(t: Tableau) -> list[str]:
+    """Reasons the tableau fails the relaxed flagged-tableau conditions;
+    empty when it satisfies them."""
+    problems = []
+    k = t.k
+    for r, row in enumerate(t.rows, start=1):
+        for c, e in enumerate(row, start=1):
+            if e < 1:
+                problems.append(f"entry at ({r},{c}) is not positive")
+            if e > k + r:
+                problems.append(f"entry {e} at ({r},{c}) exceeds flag bound {k + r}")
+    cells = [(r, c) for r, row in enumerate(t.rows, start=1) for c in range(1, len(row) + 1)]
+    for r, c in cells:
+        e1 = t.rows[r - 1][c - 1]
+        for c2 in range(c + 1, len(t.rows[r - 1]) + 1):
+            e2 = t.rows[r - 1][c2 - 1]
+            if (e1 <= k + 1) == (e2 <= k + 1) and e1 > e2:
+                problems.append(f"row {r}: same-class entries decrease at columns {c},{c2}")
+    for r1, c1 in cells:
+        e1 = t.rows[r1 - 1][c1 - 1]
+        for r2 in range(r1 + 1, len(t.rows) + 1):
+            for c2 in range(c1, len(t.rows[r2 - 1]) + 1):
+                e2 = t.rows[r2 - 1][c2 - 1]
+                if e1 <= k + 1 and e2 <= k + 1:
+                    if e1 > e2:
+                        problems.append(
+                            f"small entries decrease from ({r1},{c1}) to ({r2},{c2})"
+                        )
+                    elif e1 == e2 and not _chain_exists(t, (r1, c1), (r2, c2)):
+                        problems.append(
+                            f"equal small entries at ({r1},{c1}) and ({r2},{c2}) lack a chain"
+                        )
+                elif e1 > k + 1 and e2 > k + 1 and e1 >= e2:
+                    problems.append(
+                        f"large entries fail to increase from ({r1},{c1}) to ({r2},{c2})"
+                    )
+    return problems
+
+
+def is_perflagged(t: Tableau) -> bool:
+    return not perflagged_violations(t)
+
+
+@dataclass(frozen=True)
+class Violations:
+    semistandard: tuple[Cell, ...]
+    minimal: Cell | None
+    path: tuple[Cell, ...]
+    maximal: Cell | None
+
+
+def find_violations(t: Tableau) -> Violations:
+    """Cells breaking the semistandard order, and cells whose neighbourhood
+    betrays a misplaced large entry.
+
+    The minimal semistandard violation has the smallest entry, ties broken
+    by the leftmost column; the maximal path violation has the largest
+    entry, ties broken by the rightmost column.
+    """
+    rows = t.rows
+    ssv, pv = _violations(rows, t.k)
+    return Violations(
+        tuple(ssv),
+        _select(rows, ssv, 1, "minimal semistandard violation"),
+        tuple(pv),
+        _select(rows, pv, -1, "maximal path violation"),
+    )
+
+
+def j_move(t: Tableau) -> Tableau:
+    """Swap the minimal semistandard violation with its upper or left
+    neighbour, whichever restores local order."""
+    v = find_violations(t)
+    if v.minimal is None:
+        raise ValueError("no semistandard violation to correct")
+    rows = [list(row) for row in t.rows]
+    _j_step(rows, *v.minimal)
+    return Tableau(rows, t.k)
+
+
+def j_inv_move(t: Tableau) -> Tableau:
+    """Inverse move: swap the maximal path violation with the smaller of the
+    large entries below or to its right (below on ties)."""
+    v = find_violations(t)
+    if v.maximal is None:
+        raise ValueError("no path violation to correct")
+    rows = [list(row) for row in t.rows]
+    _j_inv_step(rows, *v.maximal, t.k)
+    return Tableau(rows, t.k)
+
+
+def tuple_of_tab(t: Tableau) -> PathTuple:
+    """Inverse of the direct filling; defined on tableaux without path
+    violations."""
+    if find_violations(t).path:
+        raise ValueError("tableau has path violations")
+    return _tuple_of_rows(t.rows, t.k)
+
+
+def easy_bijection(pt: PathTuple) -> Tableau:
+    """Cardinality witness: fill each cell with the number of tuple paths
+    passing weakly above it, then add the row index everywhere."""
+    region = pt.region
+    shape = shape_from_region(region)
+    y = region.y
+    rows = []
+    for r in range(1, y + 1):
+        edge = y - r + 1
+        rows.append(
+            tuple(
+                sum(1 for p in pt.paths if p.heights[c - 1] >= edge) + r
+                for c in range(1, shape.parts[r - 1] + 1)
+            )
+        )
+    return Tableau(tuple(rows), pt.k)
 
 
 def path_violations_at_least(t: Tableau, v, bound: int) -> set:
@@ -267,13 +416,13 @@ def test_flagged_ssyt_match_filtered_fillings():
     # every filling with entries up to one past the largest flag, row-major
     # in lexicographic order, kept when it is a flagged semistandard tableau
     for shape in shapes_in_box(3):
-        cells = list(shape.cells())
-        if len(cells) > 6:
+        cells = sum(shape.parts)
+        if cells > 6:
             continue
         for k in (0, 1, 2):
             top = k + shape.rows + 1
             expected = []
-            for values in product(range(1, top + 1), repeat=len(cells)):
+            for values in product(range(1, top + 1), repeat=cells):
                 entries = iter(values)
                 rows = tuple(tuple(next(entries) for _ in range(p)) for p in shape.parts)
                 tab = Tableau(rows, k)
@@ -300,14 +449,14 @@ def test_flagged_schur_matches_ssyt_sum():
     k = 1
     nvars = 3
     variables = tuple(f"x{i}" for i in range(1, nvars + 1))
-    total = MultiPoly.zero(variables)
+    terms = {}
     for tab in enumerate_flagged_ssyt(shape, k):
         exp = [0] * nvars
         for row in tab.rows:
             for e in row:
                 exp[e - 1] += 1
-        total = total.add_monomial(tuple(exp))
-    assert flagged_schur(shape, k, nvars) == total
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + 1
+    assert flagged_schur(shape, k, nvars) == MultiPoly(variables, terms)
 
 
 def test_flagged_schur_symmetry_prefix():
@@ -342,17 +491,17 @@ def violations_by_definition(t: Tableau) -> tuple[list, list]:
             left = t.entry(r, c - 1)
             if (above is not None and above >= e) or (left is not None and left > e):
                 ssv.append((r, c))
-            if t.is_small(e):
+            if e <= t.k + 1:
                 below = t.entry(r + 1, c)
-                if below is not None and not t.is_small(below) and not t.is_maximal(r + 1, below):
+                if below is not None and below > t.k + 1 and below != t.k + r + 1:
                     pv.append((r, c))
                     continue
                 right = t.entry(r, c + 1)
-                if right is not None and not t.is_small(right):
+                if right is not None and right > t.k + 1:
                     column_smalls = [
                         t.rows[rr - 1][c]
                         for rr in range(1, r + 1)
-                        if t.is_small(t.rows[rr - 1][c])
+                        if t.rows[rr - 1][c] <= t.k + 1
                     ]
                     if all(v < e for v in column_smalls):
                         pv.append((r, c))
@@ -415,7 +564,7 @@ def expect_raise(call, fault):
 region = tableaux.region_of_shape(tableaux.YoungShape((2, 2)))
 pt = next(
     t for t in enumerate_tuples(region, 1)
-    if tableaux.find_violations(tableaux.tab_of_tuple(t)).minimal is not None
+    if tableaux._violations(tableaux.tab_of_tuple(t).rows, 1)[0]
 )
 tab = tableaux.psi(pt)
 exact = tableaux.weight
