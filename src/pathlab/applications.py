@@ -9,14 +9,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .enumeration import (
-    _height_sequences,
-    enumerate_paths,
-    enumerate_tuples,
-    path_distribution,
-)
+from .enumeration import _height_sequences, enumerate_tuples, path_distribution
 from .paths import InvariantError, Path, Region, parse_path
-from .swaps import contact_word
 from .tuples import PathTuple
 
 
@@ -65,13 +59,14 @@ def corollary_ij_check(region: Region) -> IJReport:
 
     The ordering condition treats an east step shared by both boundaries as
     a bottom contact not preceding a top contact, which keeps the three
-    conditions equivalent on degenerate regions.
+    conditions equivalent on degenerate regions.  The counts come from
+    ``path_distribution`` and the order from ``_t_then_b``, so no path is
+    listed.
     """
     counts = path_distribution(region, ["t", "b"]).terms
     shared = any(t == b for t, b in zip(region.t_heights, region.b_heights))
-    order_ok = not any("tb" in contact_word(region, p) for p in enumerate_paths(region))
     cond_counts = _counts_depend_on_sum(counts, region.x + 1)
-    cond_order = order_ok and not shared
+    cond_order = not shared and not _t_then_b(region)
     if region.x == 0:
         cond_boundary = True
     else:
@@ -80,6 +75,26 @@ def corollary_ij_check(region: Region) -> IJReport:
     if not report.agree:
         raise InvariantError(f"conditions disagree on {region}")
     return report
+
+
+def _t_then_b(region: Region) -> bool:
+    """Whether some monotone path's contact word has a b right after a t.
+
+    A walk over the columns the two boundaries do not share (a shared
+    column gives no letter).  The first of them can hold a t, at its top
+    height ``low``, and heights never fall: some path has a t before a b
+    exactly when a later column's bottom height reaches ``low``, since
+    then the first b after that t follows a t.  The walk stops there.
+    """
+    low = None
+    for th, bh in zip(region.t_heights, region.b_heights):
+        if th == bh:
+            continue
+        if low is None:
+            low = th
+        elif low <= bh:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ stream of objects."""
 from __future__ import annotations
 
 from itertools import product
-from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .paths import Path, Region, vertices
@@ -134,53 +133,62 @@ def path_distribution(
     order given.
 
     A transfer matrix over columns (Stanley, EC1 4.7), so no path is
-    listed.  The state maps each height h_prev of the previous column to
-    the counts, by exponent tuple of the requested letters, of the prefixes
-    ending there.  Column j moves to every height h in [b_j, t_j], and
-    without south steps only to h >= h_prev.  Each move adds the column's
-    terms of ``paths.contact_stats``: 1 to t if h == t_j, 1 to b if
-    h == b_j, and the overlaps of the north run [h_prev, h) with the top's
-    run [t_{j-1}, t_j) to l and with the bottom's run [b_{j-1}, b_j) to r.
-    After the last column the final runs up to y add to l and r.
+    listed.  An exponent vector is packed into one integer in radix
+    x + y + 1, which no statistic reaches, the first letter most
+    significant; a repeated letter adds to each of its places.  The state
+    maps each height h_prev of the previous column to the counts, by packed
+    exponents, of the prefixes ending there.  Column j moves to every
+    height h in [b_j, t_j], and without south steps only to h >= h_prev.
+    Each move adds, at the letters' places, the column's terms of
+    ``paths.contact_stats``: 1 to t if h == t_j, 1 to b if h == b_j, and
+    the overlaps of the north run [h_prev, h) with the top's run
+    [t_{j-1}, t_j) to l and with the bottom's run [b_{j-1}, b_j) to r.
+    After the last column the final runs up to y add to l and r, and the
+    exponents are unpacked once.
     """
     if len(stat_names) > len(VAR_NAMES):
         raise ValueError(f"at most {len(VAR_NAMES)} statistics, one per variable name")
     variables = VAR_NAMES[: len(stat_names)]
     slots = [CONTACT_STATS.index(name) for name in stat_names]
-    state = {0: {(0,) * len(slots): 1}}
+    y = region.y
+    radix = region.x + y + 1
+    places = [radix**p for p in reversed(range(len(slots)))]
+    weights = [0, 0, 0, 0]
+    for slot, place in zip(slots, places):
+        weights[slot] += place
+    wt, wb, wl, wr = weights
+    state = {0: {0: 1}}
     tp = bp = 0
     for th, bh in zip(region.t_heights, region.b_heights):
-        nxt: dict[int, dict[tuple[int, ...], int]] = {}
+        nxt: dict[int, dict[int, int]] = {}
         for hp, prefixes in state.items():
             for h in range(bh if south_allowed else max(bh, hp), th + 1):
-                gain = [h == th, h == bh, 0, 0]
+                gain = (wt if h == th else 0) + (wb if h == bh else 0)
                 if h > hp:
                     if h > tp:
-                        gain[2] = h - (hp if hp > tp else tp)
+                        gain += wl * (h - (hp if hp > tp else tp))
                     if bh > hp and bh > bp:
-                        gain[3] = bh - (hp if hp > bp else bp)
-                _shift_into(nxt.setdefault(h, {}), prefixes, [gain[s] for s in slots])
+                        gain += wr * (bh - (hp if hp > bp else bp))
+                _shift_into(nxt.setdefault(h, {}), prefixes, gain)
         state = nxt
         tp, bp = th, bh
-    y = region.y
-    terms: dict[tuple[int, ...], int] = {}
+    packed: dict[int, int] = {}
     for hp, prefixes in state.items():
-        gain = (0, 0, y - (hp if hp > tp else tp), y - (hp if hp > bp else bp))
-        _shift_into(terms, prefixes, [gain[s] for s in slots])
+        gain = wl * (y - (hp if hp > tp else tp)) + wr * (y - (hp if hp > bp else bp))
+        _shift_into(packed, prefixes, gain)
+    terms = {tuple([code // place % radix for place in places]): n for code, n in packed.items()}
     return MultiPoly(variables, terms)
 
 
-def _shift_into(
-    target: dict[tuple[int, ...], int], counts: dict[tuple[int, ...], int], gain: list[int]
-) -> None:
-    """Add the counts to the target, each exponent tuple raised by gain."""
-    if any(gain):
-        for exp, count in counts.items():
-            exp = tuple(map(add, exp, gain))
-            target[exp] = target.get(exp, 0) + count
+def _shift_into(target: dict[int, int], counts: dict[int, int], gain: int) -> None:
+    """Add the counts to the target, each packed exponent raised by gain."""
+    if gain:
+        for code, count in counts.items():
+            code += gain
+            target[code] = target.get(code, 0) + count
     else:
-        for exp, count in counts.items():
-            target[exp] = target.get(exp, 0) + count
+        for code, count in counts.items():
+            target[code] = target.get(code, 0) + count
 
 
 def _count_paths_avoiding(

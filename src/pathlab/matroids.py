@@ -162,25 +162,18 @@ def exchange_masks(encoded: tuple[int, ...], m: int) -> dict[int, list[int]]:
 
     The list must hold every base of the matroid: ``activity_terms`` then
     reads activities under any order off these masks alone.
+
+    A set one element away from a base, B - e or B + f, is a bucket of
+    the elements whose toggle takes it to a listed base; its size tells the
+    two kinds apart.  Either element's row entry is its bucket without it.
     """
-    listed = set(encoded)
-    bit = [1 << e for e in range(m + 1)]
-    ground = range(1, m + 1)
-    out = {}
+    bit = [1 << e for e in range(1, m + 1)]
+    buckets: dict[int, int] = {}
     for bits in encoded:
-        row = [0] * (m + 1)
-        inside = [e for e in ground if bits & bit[e]]
-        outside = [f for f in ground if not bits & bit[f]]
-        for e in inside:
-            without = bits ^ bit[e]
-            partners = 0
-            for f in outside:
-                if without | bit[f] in listed:
-                    partners |= bit[f]
-                    row[f] |= bit[e]
-            row[e] = partners
-        out[bits] = row
-    return out
+        for b in bit:
+            key = bits ^ b
+            buckets[key] = buckets.get(key, 0) | b
+    return {bits: [0] + [buckets[bits ^ b] ^ b for b in bit] for bits in encoded}
 
 
 def activity_terms(

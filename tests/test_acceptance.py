@@ -19,7 +19,7 @@ from pathlab.triangulations import (
     degrees_from_tuple,
     fan_region,
 )
-from pathlab.tuples import PathTuple, h_stats, u_stats
+from pathlab.tuples import PathTuple, h_stats
 from pathlab.verify import (
     check_activity_reorder,
     check_brak_essam,

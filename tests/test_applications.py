@@ -9,6 +9,7 @@ from pathlab.applications import (
     IJReport,
     Watermelon,
     _counts_depend_on_sum,
+    _t_then_b,
     andre_barbier_count,
     binom,
     brak_essam_counts,
@@ -28,7 +29,7 @@ from pathlab.applications import (
     watermelon_to_tuple,
 )
 from pathlab.enumeration import enumerate_paths, enumerate_tuples, path_distribution
-from pathlab.paths import Path, Region, contact_stats, descent_set, parse_path, vertices
+from pathlab.paths import Path, Region, contact_stats, descent_set, vertices
 from pathlab.swaps import contact_word
 from pathlab.tuples import h_stats
 from pathlab.verify import all_regions
@@ -62,10 +63,22 @@ def enumerated_corollary_ij(region: Region) -> IJReport:
 
 
 def test_corollary_matches_per_path_oracle():
-    regions = list(all_regions(6)) + regions_touching_only_at_ends(4)
+    regions = list(all_regions(7)) + regions_touching_only_at_ends(5)
     for region in regions:
         assert corollary_ij_check(region) == enumerated_corollary_ij(region), region
-    assert len(regions) == 625 + 175
+    assert len(regions) == 2055 + 1764
+
+
+def test_order_walk_matches_the_contact_words():
+    """The column walk against every path's contact word, also where a
+    shared column hides its answer from ``corollary_ij_check``."""
+    found = hidden = 0
+    for region in all_regions(7):
+        expected = any("tb" in contact_word(region, p) for p in enumerate_paths(region))
+        assert _t_then_b(region) == expected, region
+        found += expected
+        hidden += expected and any(t == b for t, b in zip(region.t_heights, region.b_heights))
+    assert (found, hidden) == (496, 248)
 
 
 def test_corollary_good_region():

@@ -5,7 +5,6 @@ from math import comb
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from pathlab.applications import regions_touching_only_at_ends
 from pathlab.cli import main
@@ -175,6 +174,7 @@ STAT_LISTS = (
     [[a] for a in "tblr"]
     + [[a, b] for a, b in product("tblr", repeat=2)]
     + [["t", "b", "l"], ["b", "t", "r"], ["t", "b", "l", "r"]]
+    + [["l", "b", "l"], ["r", "r", "r"], list("tblrtb")]
 )
 
 
@@ -188,7 +188,7 @@ def test_path_distribution_matches_per_path_count():
                 assert got == expected, (region, names, south)
                 assert got.variables == expected.variables
                 cases += 1
-    assert cases == 94530
+    assert cases == 106860
 
 
 def test_path_distribution_takes_one_letter_per_variable_name():

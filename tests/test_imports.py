@@ -95,3 +95,31 @@ def test_every_library_function_runs_outside_the_tests():
         where for name, places in defined.items() if name not in reached | PAPER_MAPS for where in places
     )
     assert not unreached, "not reached from the entry points: " + ", ".join(unreached)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; ``__future__`` imports set
+    compiler flags and bind nothing that is read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_import():
+    """Every imported name is used, except in the package's ``__init__``,
+    whose imports are its public names."""
+    unused = {
+        str(source.relative_to(ROOT)): names
+        for source in SOURCES
+        if source.name != "__init__.py"
+        for names in [unused_imports(ast.parse(source.read_text(), str(source)))]
+        if names
+    }
+    assert not unused, unused

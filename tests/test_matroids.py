@@ -23,7 +23,7 @@ from pathlab.matroids import (
     tutte_poly,
     uniform_oracle,
 )
-from pathlab.paths import Path, Region, contact_stats, north_edges, parse_path
+from pathlab.paths import Region, contact_stats, north_edges, parse_path
 from pathlab.polynomials import MultiPoly
 from pathlab.verify import all_regions
 
@@ -314,8 +314,13 @@ def test_base_bits_list_the_bases():
 
 
 def test_exchange_mask_bits_match_is_base():
-    for region in all_regions(6):
-        oracle = lpm_oracle(region)
+    """Every mask bit against ``is_base`` of the exchanged set, rows in the
+    order of ``base_bits``.  The uniform oracles take every rank from 0 to
+    m, so ranks 0, 1, m - 1 and m, where a base has no or one element on a
+    side, are all covered."""
+    oracles = [lpm_oracle(region) for region in all_regions(6)] + uniform_oracles(6)
+    for oracle in oracles:
+        assert list(oracle.masks) == list(oracle.base_bits), oracle
         ground = range(1, oracle.ground_size + 1)
         for bits, masks in oracle.masks.items():
             base = frozenset(e for e in ground if bits >> e & 1)
@@ -323,7 +328,7 @@ def test_exchange_mask_bits_match_is_base():
                 for f in ground:
                     exchanged = base ^ {e, f}
                     expected = (e in base) != (f in base) and oracle.is_base(exchanged)
-                    assert bool(masks[e] >> f & 1) == expected, (region, base, e, f)
+                    assert bool(masks[e] >> f & 1) == expected, (oracle, base, e, f)
 
 
 def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):

@@ -1,7 +1,5 @@
 from itertools import permutations
 
-import pytest
-
 from pathlab.enumeration import enumerate_tuples, lgv_count
 from pathlab.triangulations import (
     Triangulation,
