@@ -411,27 +411,11 @@ def cmd_nicolas_check(args) -> int:
     return 0 if report.holds else 1
 
 
-# What ``verify --max M`` bounds in each sweep of ``verify.SUITES``.
-_VERIFY_EPILOG = """\
---max M (at least 1, default 6) bounds each sweep as follows:
-  activity-contacts      regions with x+y <= min(M, 5)
-  activity-reorder       regions with x+y <= min(M, 6); uniform matroids
-                         on up to 5 elements whatever M is
-  bltr-tuples            regions with x+y <= min(M, 5), k <= 2
-  closed-formulas        case 1 with n+r+s <= min(M, 7); case 2 on a fixed grid
-  conjectures            n <= min(M, 4)
-  contact-involution     regions with x+y <= M
-  fan-determinants       n <= max(M, 9)
-  negative-control       ignores M
-  permutation-bridge     n <= min(M, 7)
-  switch-words           words of length <= min(2M, 14)
-  tableau-bijection      shapes in a min(M, 4) box, k <= 3
-  triangulation-counts   ignores M
-  triangulation-degrees  ignores M
-  tuple-symmetry         regions with x+y <= min(M, 8), k <= 3
-  tutte-orders           regions with x+y <= min(M, 6)
-  watermelons            x <= min(M, 8)
-"""
+# What ``verify --max M`` bounds in each sweep, as ``verify.SUITES`` states it.
+_VERIFY_EPILOG = "--max M (at least 1, default 6) bounds each sweep as follows:\n" + "".join(
+    f"  {name:<23}" + bounds.replace("\n", "\n" + " " * 25) + "\n"
+    for name, (bounds, _) in sorted(SUITES.items())
+)
 
 
 def cmd_verify(args) -> int:
@@ -447,7 +431,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown suite {name!r}; use --list")
     failed = False
     for name in names:
-        result = _timed(name, lambda: SUITES[name](args.max))
+        result = _timed(name, lambda: SUITES[name][1](args.max))
         print(result.line(), flush=True)
         failed = failed or not result.ok
     return 1 if failed else 0
@@ -499,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", required=True)
     p.set_defaults(func=cmd_tab)
 
-    p = sub.add_parser("flagged-schur", help="determinantal weight polynomial of flagged tableaux")
+    p = sub.add_parser("flagged-schur", help="weight polynomial of flagged tableaux")
     p.add_argument("--shape", required=True, help="comma-separated row lengths")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nvars", type=int, required=True)

@@ -1,15 +1,17 @@
-"""Exact multivariate polynomials with integer coefficients.
+"""Exact multivariate polynomials with integer coefficients, and the
+integer determinant.
 
-Used as the universal container for joint distributions of statistics.
-Exponent vectors are dense, with one slot per variable; the variable order
-is part of the polynomial's identity, but equality aligns by variable name.
+A polynomial is the container for joint distributions of statistics and
+weight polynomials: it stores, compares, renames and prints them, and does
+no arithmetic; each kernel sums its own terms.  Exponent vectors are dense,
+with one slot per variable; the variable order is part of the polynomial's
+identity, but equality aligns by variable name.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
 
 
 @dataclass(frozen=True)
@@ -27,15 +29,6 @@ class MultiPoly:
                 cleaned[tuple(exp)] = coef
         object.__setattr__(self, "terms", cleaned)
 
-    @classmethod
-    def zero(cls, variables) -> "MultiPoly":
-        return cls(tuple(variables), {})
-
-    @classmethod
-    def one(cls, variables) -> "MultiPoly":
-        vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): 1})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -49,33 +42,6 @@ class MultiPoly:
         # Equality aligns by variable name, so hash one canonical order.
         canonical = self.with_variable_order(sorted(self.variables))
         return hash((canonical.variables, frozenset(canonical.terms.items())))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        other = self._aligned(other)
-        terms = dict(self.terms)
-        for exp, coef in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + coef
-        return MultiPoly(self.variables, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiPoly(self.variables, {e: c * other for e, c in self.terms.items()})
-        other = self._aligned(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return MultiPoly(self.variables, terms)
-
-    __rmul__ = __mul__
-
-    def _aligned(self, other: "MultiPoly") -> "MultiPoly":
-        if self.variables == other.variables:
-            return other
-        if set(self.variables) != set(other.variables):
-            raise ValueError("polynomials over different variable sets")
-        return other.with_variable_order(self.variables)
 
     def with_variable_order(self, variables) -> "MultiPoly":
         variables = tuple(variables)
@@ -129,46 +95,6 @@ class MultiPoly:
             else:
                 bits.append(f"{coef}*{body}")
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def h_complete(n: int, nvars: int, variables) -> MultiPoly:
-    """Complete homogeneous symmetric polynomial of degree n in the first
-    nvars variables of the given list."""
-    variables = tuple(variables)
-    if n < 0:
-        return MultiPoly.zero(variables)
-    if n == 0:
-        return MultiPoly.one(variables)
-    terms: dict[tuple[int, ...], int] = {}
-    for combo in combinations_with_replacement(range(nvars), n):
-        exp = [0] * len(variables)
-        for i in combo:
-            exp[i] += 1
-        exp = tuple(exp)
-        terms[exp] = terms.get(exp, 0) + 1
-    return MultiPoly(variables, terms)
-
-
-def poly_determinant(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials (Leibniz sum;
-    intended for small matrices)."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    variables = matrix[0][0].variables
-    total = MultiPoly.zero(variables)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = MultiPoly.one(variables)
-        for i in range(n):
-            prod = prod * matrix[i][perm[i]]
-        total = total + prod * sign
-    return total
 
 
 def int_determinant(matrix: list[list[int]]) -> int:

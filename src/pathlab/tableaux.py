@@ -1,6 +1,6 @@
 """Young shapes, flagged semistandard tableaux, the direct filling of a
 nested path tuple, the weight-preserving bijection psi and its inverse,
-and the determinantal weight polynomial of flagged tableaux.
+and the weight polynomial of flagged tableaux by the branching rule.
 
 psi starts from the direct filling of a tuple and repairs its ordering
 defects one local move at a time; the moves are invertible, so psi_inv
@@ -17,10 +17,11 @@ conditions they keep are test oracles in tests/test_tableaux.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .enumeration import _height_sequences
+from .enumeration import _height_sequences, _shift_into
 from .paths import InvariantError, Path, Region
-from .polynomials import MultiPoly, h_complete, poly_determinant
+from .polynomials import MultiPoly
 from .tuples import PathTuple, h_stats, u_stats
 
 Cell = tuple[int, int]
@@ -328,21 +329,39 @@ def enumerate_flagged_ssyt(shape: YoungShape, k: int):
 
 def flagged_schur(shape: YoungShape, k: int, nvars: int) -> MultiPoly:
     """Weight generating polynomial of the flagged semistandard tableaux of
-    the shape, expanded exactly from its determinantal form."""
-    parts = [p for p in shape.parts if p > 0]
+    the shape, by the branching rule (Stanley, EC2, ch. 7).
+
+    The cells with entries at most m form a shape mu inside lambda, and
+    entry m adds a horizontal strip nu: mu_r <= nu_r <= mu_{r-1}, with
+    nu_r = lambda_r once m >= k + r (the flag).  The state maps each mu to
+    the counts of the fillings that reach it, by exponents packed as in
+    ``enumeration.path_distribution`` (radix |lambda| + 1, x1 most
+    significant); x_m gains |nu| - |mu|.  No entry exceeds k + l, l the
+    number of nonzero rows, so the later variables only pad the exponents.
+    """
+    parts = tuple(p for p in shape.parts if p > 0)
     ell = len(parts)
     if k < 0:
         raise ValueError("k must be a natural number")
     if nvars < k + ell:
         raise ValueError("need at least k + number of parts variables")
-    variables = tuple(f"x{i}" for i in range(1, nvars + 1))
-    if ell == 0:
-        return MultiPoly.one(variables)
-    matrix = [
-        [
-            h_complete(parts[i - 1] - i + j, min(k + i, nvars), variables)
-            for j in range(1, ell + 1)
-        ]
-        for i in range(1, ell + 1)
-    ]
-    return poly_determinant(matrix)
+    radix = sum(parts) + 1
+    places = [radix**p for p in reversed(range(k + ell))]
+    state = {(0,) * ell: {0: 1}}
+    for m, place in enumerate(places, start=1):
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for mu, counts in state.items():
+            ranges = [
+                range(lam if m >= k + r else low, min(lam, cap) + 1)
+                for r, (lam, low, cap) in enumerate(zip(parts, mu, parts[:1] + mu), start=1)
+            ]
+            size = sum(mu)
+            for nu in product(*ranges):
+                _shift_into(nxt.setdefault(nu, {}), counts, place * (sum(nu) - size))
+        state = nxt
+    padding = (0,) * (nvars - len(places))
+    terms = {
+        tuple([code // place % radix for place in places]) + padding: n
+        for code, n in state[parts].items()
+    }
+    return MultiPoly(tuple(f"x{i}" for i in range(1, nvars + 1)), terms)

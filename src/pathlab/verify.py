@@ -460,21 +460,31 @@ def check_negative_control() -> VerifyResult:
     return VerifyResult(name, True, "pair-count control values confirmed")
 
 
-SUITES: dict[str, Callable[[int], VerifyResult]] = {
-    "switch-words": lambda m: check_switch_words(min(2 * m, 14)),
-    "contact-involution": lambda m: check_contact_involution(m),
-    "tuple-symmetry": lambda m: check_tuple_symmetry(min(m, 8)),
-    "tutte-orders": lambda m: check_tutte_orders(min(m, 6)),
-    "activity-reorder": lambda m: check_activity_reorder(min(m, 6)),
-    "activity-contacts": lambda m: check_activity_contacts(min(m, 5)),
-    "bltr-tuples": lambda m: check_bltr_tuples(min(m, 5)),
-    "tableau-bijection": lambda m: check_tableau_bijection(min(m, 4)),
-    "fan-determinants": lambda m: check_fan_determinants(max(m, 9)),
-    "triangulation-counts": lambda m: check_triangulation_counts(),
-    "triangulation-degrees": lambda m: check_nicolas(),
-    "permutation-bridge": lambda m: check_permutation_bridge(min(m, 7)),
-    "closed-formulas": lambda m: check_closed_formulas(min(m, 7)),
-    "watermelons": lambda m: check_brak_essam(min(m, 8)),
-    "conjectures": lambda m: check_conjectures(min(m, 4)),
-    "negative-control": lambda m: check_negative_control(),
+# Each sweep, with what ``verify --max M`` bounds in it (the help epilog of
+# ``pathlab verify`` shows this text) and the run that applies that bound.
+SUITES: dict[str, tuple[str, Callable[[int], VerifyResult]]] = {
+    "switch-words": ("words of length <= min(2M, 14)",
+                     lambda m: check_switch_words(min(2 * m, 14))),
+    "contact-involution": ("regions with x+y <= M", lambda m: check_contact_involution(m)),
+    "tuple-symmetry": ("regions with x+y <= min(M, 8), k <= 3",
+                       lambda m: check_tuple_symmetry(min(m, 8))),
+    "tutte-orders": ("regions with x+y <= min(M, 6)", lambda m: check_tutte_orders(min(m, 6))),
+    "activity-reorder": ("regions with x+y <= min(M, 6); uniform matroids\n"
+                         "on up to 5 elements whatever M is",
+                         lambda m: check_activity_reorder(min(m, 6))),
+    "activity-contacts": ("regions with x+y <= min(M, 5)",
+                          lambda m: check_activity_contacts(min(m, 5))),
+    "bltr-tuples": ("regions with x+y <= min(M, 5), k <= 2",
+                    lambda m: check_bltr_tuples(min(m, 5))),
+    "tableau-bijection": ("shapes in a min(M, 4) box, k <= 3",
+                          lambda m: check_tableau_bijection(min(m, 4))),
+    "fan-determinants": ("n <= max(M, 9)", lambda m: check_fan_determinants(max(m, 9))),
+    "triangulation-counts": ("ignores M", lambda m: check_triangulation_counts()),
+    "triangulation-degrees": ("ignores M", lambda m: check_nicolas()),
+    "permutation-bridge": ("n <= min(M, 7)", lambda m: check_permutation_bridge(min(m, 7))),
+    "closed-formulas": ("case 1 with n+r+s <= min(M, 7); case 2 on a fixed grid",
+                        lambda m: check_closed_formulas(min(m, 7))),
+    "watermelons": ("x <= min(M, 8)", lambda m: check_brak_essam(min(m, 8))),
+    "conjectures": ("n <= min(M, 4)", lambda m: check_conjectures(min(m, 4))),
+    "negative-control": ("ignores M", lambda m: check_negative_control()),
 }

@@ -3,6 +3,8 @@
 An oracle that only one module needs lives in that module.
 """
 
+from itertools import permutations
+
 from pathlab.paths import Path, Region
 from pathlab.polynomials import MultiPoly
 
@@ -33,3 +35,11 @@ def parse_poly(text: str, variables) -> MultiPoly:
 def rectangle(x: int, y: int) -> Region:
     """The region of every monotone path from (0, 0) to (x, y)."""
     return Region(Path((y,) * x, y), Path((0,) * x, y))
+
+
+def leibniz(n: int):
+    """The terms of an n-by-n determinant's Leibniz sum: each permutation of
+    range(n) with its sign, -1 to the number of its inversions."""
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        yield (-1) ** inversions, perm

@@ -224,6 +224,13 @@ def test_verify_help_says_what_max_bounds_in_every_suite(capsys):
     assert [row.split()[0] for row in rows if row[2] != " "] == sorted(SUITES)
 
 
+def test_every_suite_states_the_clamp_its_run_applies():
+    # the help text of a suite names every integer its run bounds --max with
+    for name, (bounds, run) in SUITES.items():
+        clamps = {c for c in run.__code__.co_consts if isinstance(c, int)}
+        assert clamps <= {int(n) for n in re.findall(r"\d+", bounds)}, name
+
+
 def test_verify_list(capsys):
     code, out = run(capsys, "verify", "--list")
     assert code == 0

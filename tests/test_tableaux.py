@@ -1,14 +1,15 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path as FilePath
 
 import pytest
 
-from pathlab.enumeration import enumerate_tuples
+from pathlab.enumeration import enumerate_tuples, lgv_count
 from pathlab.paths import Path, Region
 from pathlab.polynomials import MultiPoly
 from pathlab.tableaux import (
@@ -33,6 +34,8 @@ from pathlab.tableaux import (
 )
 from pathlab.tuples import PathTuple
 from pathlab.verify import shapes_in_box
+
+from oracles import leibniz
 
 # 3-tuple in a 4x4 square region; its repair pipeline is pinned below
 SQ4 = Region(Path((4,) * 4, 4), Path((0, 0, 1, 2), 4))
@@ -444,19 +447,99 @@ def test_flagged_schur_single_cell():
     assert poly == MultiPoly(("x1", "x2"), {(1, 0): 1, (0, 1): 1})
 
 
-def test_flagged_schur_matches_ssyt_sum():
-    shape = YoungShape((2, 1))
-    k = 1
-    nvars = 3
-    variables = tuple(f"x{i}" for i in range(1, nvars + 1))
-    terms = {}
-    for tab in enumerate_flagged_ssyt(shape, k):
+# Every shape of the 3x3 box, trailing zero rows and the empty shape, with
+# k <= 3 and both the fewest variables and two more than that.
+SCHUR_CASES = [
+    (shape, k, k + len([p for p in shape.parts if p]) + extra)
+    for shape in shapes_in_box(3) + [YoungShape(p) for p in ((2, 1, 0), (3, 0, 0), ())]
+    for k in range(4)
+    for extra in (0, 2)
+]
+
+
+def h_complete(n: int, first: int, nvars: int) -> dict[tuple[int, ...], int]:
+    """The complete homogeneous polynomial of degree n in x1 .. x_first, as
+    exponent vectors over nvars variables; none for n < 0."""
+    terms: dict[tuple[int, ...], int] = {}
+    for combo in combinations_with_replacement(range(first), n) if n >= 0 else ():
         exp = [0] * nvars
-        for row in tab.rows:
-            for e in row:
-                exp[e - 1] += 1
+        for i in combo:
+            exp[i] += 1
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + 1
-    assert flagged_schur(shape, k, nvars) == MultiPoly(variables, terms)
+    return terms
+
+
+def flagged_jacobi_trudi(shape: YoungShape, k: int, nvars: int) -> MultiPoly:
+    """The flagged Schur function as the determinant of h_{lambda_i - i + j}
+    in x1 .. x_{k+i} (Gessel-Viennot; Wachs), expanded as a Leibniz sum:
+    the determinant oracle for the branching rule of ``flagged_schur``."""
+    parts = [p for p in shape.parts if p > 0]
+    matrix = [
+        [h_complete(lam - i + j, k + i + 1, nvars) for j in range(len(parts))]
+        for i, lam in enumerate(parts)
+    ]
+    total: dict[tuple[int, ...], int] = {}
+    for sign, perm in leibniz(len(parts)):
+        term = {(0,) * nvars: sign}
+        for row, j in zip(matrix, perm):
+            product_terms: dict[tuple[int, ...], int] = {}
+            for e1, c1 in term.items():
+                for e2, c2 in row[j].items():
+                    exp = tuple(a + b for a, b in zip(e1, e2))
+                    product_terms[exp] = product_terms.get(exp, 0) + c1 * c2
+            term = product_terms
+        for exp, c in term.items():
+            total[exp] = total.get(exp, 0) + c
+    return MultiPoly(tuple(f"x{i}" for i in range(1, nvars + 1)), total)
+
+
+def ssyt_weight_sum(shape: YoungShape, k: int, nvars: int) -> MultiPoly:
+    """The weights of the enumerated flagged tableaux, summed."""
+    terms: dict[tuple[int, ...], int] = {}
+    for tab in enumerate_flagged_ssyt(shape, k):
+        w = weight(tab)
+        exp = w + (0,) * (nvars - len(w))
+        terms[exp] = terms.get(exp, 0) + 1
+    return MultiPoly(tuple(f"x{i}" for i in range(1, nvars + 1)), terms)
+
+
+def test_flagged_schur_matches_ssyt_sum():
+    for shape, k, nvars in SCHUR_CASES:
+        assert flagged_schur(shape, k, nvars) == ssyt_weight_sum(shape, k, nvars), (shape, k, nvars)
+
+
+def test_flagged_schur_matches_leibniz_determinant():
+    for shape, k, nvars in SCHUR_CASES:
+        assert flagged_schur(shape, k, nvars) == flagged_jacobi_trudi(shape, k, nvars), (shape, k, nvars)
+
+
+def test_flagged_schur_counts_nested_tuples():
+    for shape in shapes_in_box(4):
+        for k in range(4):
+            poly = flagged_schur(shape, k, k + shape.rows)
+            assert poly.coefficient_sum() == lgv_count(region_of_shape(shape), k), (shape, k)
+
+
+def test_flagged_schur_stops_at_the_last_flag():
+    # entries stop at k + l, so the variables past it only pad the exponents
+    start = time.perf_counter()
+    poly = flagged_schur(YoungShape((2, 1)), 1, 100_000)
+    assert time.perf_counter() - start < 1.0
+    assert poly == ssyt_weight_sum(YoungShape((2, 1)), 1, 100_000)
+
+
+def test_tuple_weights_sum_to_flagged_schur():
+    # the weight identity of the bijection: nested tuples weighted by
+    # expected_weight give the flagged Schur function
+    for shape in shapes_in_box(3):
+        region = region_of_shape(shape)
+        for k in range(4):
+            terms: dict[tuple[int, ...], int] = {}
+            for t in enumerate_tuples(region, k):
+                exp = expected_weight(t)
+                terms[exp] = terms.get(exp, 0) + 1
+            variables = tuple(f"x{i}" for i in range(1, k + shape.rows + 1))
+            assert MultiPoly(variables, terms) == flagged_schur(shape, k, len(variables)), (shape, k)
 
 
 def test_flagged_schur_symmetry_prefix():
@@ -542,7 +625,7 @@ def test_repairs_match_oracle_and_definition(box, k):
 OPTIMIZED_CHECK = """
 import itertools, sys
 from pathlab import InvariantError, tableaux
-from pathlab.enumeration import enumerate_tuples
+from pathlab.enumeration import enumerate_tuples, lgv_count
 from pathlab.verify import check_tableau_bijection
 if not sys.flags.optimize:
     sys.exit("not running under -O")
