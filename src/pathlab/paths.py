@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class PathError(ValueError):
@@ -149,8 +150,14 @@ def north_edges(path: Path) -> frozenset[tuple[int, int]]:
 
 def descent_set(path: Path) -> frozenset[int]:
     """x-coordinates where the height sequence strictly drops."""
-    h = path.heights
-    return frozenset(i + 1 for i in range(len(h) - 1) if h[i] > h[i + 1])
+    out = []
+    x = prev = 0  # heights are natural numbers, so column 1 is no descent
+    for h in path.heights:
+        if prev > h:
+            out.append(x)
+        prev = h
+        x += 1
+    return frozenset(out)
 
 
 def north_index_set(path: Path) -> frozenset[int]:
@@ -174,15 +181,14 @@ def path_from_north_set(x: int, y: int, norths: frozenset[int]) -> Path:
     return Path(tuple(p - i for i, p in enumerate(easts, 1)), y)
 
 
-@dataclass(frozen=True)
-class ContactStats:
+class ContactStats(NamedTuple):
     t: int
     b: int
     l: int
     r: int
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.t, self.b, self.l, self.r)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,8 @@ class Region:
 
 def check_dimensions(region: Region, path: Path) -> None:
     """Raise ``RegionError`` unless the path ends where the region does."""
-    if len(path.heights) != len(region.t_heights) or path.y != region.y:
+    top = region.top
+    if len(path.heights) != len(top.heights) or path.y != top.y:
         raise RegionError("path and region dimensions differ")
 
 
@@ -284,7 +291,7 @@ def contact_stats(region: Region, path: Path) -> ContactStats:
     check_dimensions(region, path)
     t = b = l = r = 0
     hp = tp = bp = 0
-    for h, th, bh in zip(path.heights, region.t_heights, region.b_heights):
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
         if h == th:
             t += 1
         elif h > th:
@@ -310,7 +317,7 @@ def noncontact_heights(region: Region, path: Path) -> tuple[int, ...]:
     in column order."""
     check_dimensions(region, path)
     out = []
-    for h, th, bh in zip(path.heights, region.t_heights, region.b_heights):
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
         if bh < h < th:
             out.append(h)
         elif h != th and h != bh:

@@ -5,45 +5,57 @@ exchanges the top- and bottom-contact counts while preserving the descent
 set and the heights of the non-contact east steps.
 
 One kernel per direction, ``_down`` and ``_up``, moves one contact in place
-on a height list and checks the columns it rewrote.  ``swapall`` scans and
-factorizes the contact word once, then runs a kernel |t - b| times.
+on a height list and checks the columns it rewrote.  ``_scan`` walks the
+columns once and matches the contact word as it goes, the stack pass of
+``words.factorize`` with t opening and b closing, without building the word;
+``swapall`` reads the moves off that scan and runs a kernel |t - b| times.
 """
 
 from __future__ import annotations
 
 from .paths import InvariantError, Path, Region, RegionError, check_dimensions
-from .words import factorize
 
 
-def _letters(region: Region, path: Path):
+def _scan(region: Region, path: Path) -> tuple[list[int], list[int], list[int]]:
     """One pass over the columns of a path given at the API: its contact
-    columns and contact word, or ``RegionError`` if it leaves the region.
+    columns, and the indices into them of the unmatched b's and of the
+    unmatched t's, or ``RegionError`` if the path does not lie in the region.
 
     Every east step that is a top or bottom contact but not both gives one
-    (1-based) column and one letter, ``t`` or ``b``; steps shared by both
-    boundaries are omitted.
+    (1-based) column, and one letter, ``t`` or ``b``, of the contact word;
+    steps shared by both boundaries are omitted.  A ``t`` is pushed and a
+    ``b`` pops the last unmatched ``t``, so the stack left at the end holds
+    the unmatched ``t``'s, as in ``words.factorize``.
     """
     check_dimensions(region, path)
-    cols = []
-    letters = []
+    cols: list[int] = []
+    unmatched_b: list[int] = []
+    unmatched_t: list[int] = []
     col = 0
-    for h, th, bh in zip(path.heights, region.t_heights, region.b_heights):
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
         col += 1
         if h == th:
             if h != bh:
+                unmatched_t.append(len(cols))
                 cols.append(col)
-                letters.append("t")
         elif h == bh:
+            if unmatched_t:
+                unmatched_t.pop()
+            else:
+                unmatched_b.append(len(cols))
             cols.append(col)
-            letters.append("b")
         elif h > th or h < bh:
             raise RegionError("path does not lie in the region")
-    return cols, "".join(letters)
+    return cols, unmatched_b, unmatched_t
 
 
 def contact_word(region: Region, path: Path) -> str:
-    """The path's contact letters in column order (see ``_letters``)."""
-    return _letters(region, path)[1]
+    """The path's contact letters in column order (see ``_scan``)."""
+    heights, t_heights = path.heights, region.top.heights
+    word = ""
+    for c in _scan(region, path)[0]:
+        word += "t" if heights[c - 1] == t_heights[c - 1] else "b"
+    return word
 
 
 def _land(region: Region, h: list[int], cols: list[int], k: int, land: int, boundary, letter: str, name: str):
@@ -59,7 +71,7 @@ def _land(region: Region, h: list[int], cols: list[int], k: int, land: int, boun
         h[land:c] = h[land - 1 : c - 1]
         first, last = land, c
     h[land - 1] = boundary[land - 1]
-    t_heights, b_heights = region.t_heights, region.b_heights
+    t_heights, b_heights = region.top.heights, region.bottom.heights
     for j in range(first - 1, last):
         v, th, bh = h[j], t_heights[j], b_heights[j]
         if v > th or v < bh:
@@ -73,7 +85,7 @@ def _down(region: Region, h: list[int], cols: list[int], k: int) -> None:
     """One move of ``swap``, in place: the top contact at column ``cols[k]``
     of the heights ``h`` lands on the bottom boundary."""
     c_t = cols[k]
-    b_heights = region.b_heights
+    b_heights = region.bottom.heights
     # Column j (1-based) is a descent when h[j - 1] > h[j]; the right end of
     # column j lies on the bottom boundary when h[j - 1] <= b_heights[j],
     # since the path is weakly above the bottom's vertical run there.
@@ -99,7 +111,7 @@ def _up(region: Region, h: list[int], cols: list[int], k: int) -> None:
     """One move of ``swap_inv``, in place: the bottom contact at column
     ``cols[k]`` lands on the top boundary (``_down`` rotated half a turn)."""
     c_b = cols[k]
-    t_heights = region.t_heights
+    t_heights = region.top.heights
     # Column j is a descent when h[j - 1] > h[j]; the left end of column
     # j + 1 lies on the top boundary when h[j] >= t_heights[j - 1], since
     # the path is weakly below the top's vertical run there.
@@ -119,11 +131,12 @@ def _up(region: Region, h: list[int], cols: list[int], k: int) -> None:
     _land(region, h, cols, k, s_start if left else u_end, t_heights, "t", "inverse swap")
 
 
-def _moved(region: Region, path: Path, cols: list[int], move, positions) -> Path:
-    """The path after ``move`` on the contact at each word position in turn."""
+def _moved(region: Region, path: Path, cols: list[int], move, moves) -> Path:
+    """The path after ``move`` on the contact ``cols[k]`` for each k of
+    ``moves`` in turn."""
     h = list(path.heights)
-    for i in positions:
-        move(region, h, cols, i - 1)
+    for k in moves:
+        move(region, h, cols, k)
     return Path._of(tuple(h), path.y)
 
 
@@ -136,8 +149,7 @@ def swap(region: Region, path: Path) -> Path:
     descent before each step.  The contact moves past whichever of X, Y is
     higher at the junction, and lands on the bottom boundary.
     """
-    cols, word = _letters(region, path)
-    unmatched_t = factorize(word)[1]
+    cols, _, unmatched_t = _scan(region, path)
     if not unmatched_t:
         raise ValueError("contact word has no unmatched top contact")
     return _moved(region, path, cols, _down, unmatched_t[:1])
@@ -146,8 +158,7 @@ def swap(region: Region, path: Path) -> Path:
 def swap_inv(region: Region, path: Path) -> Path:
     """Inverse of ``swap``: the rightmost unmatched bottom contact becomes a
     top contact (the picture of ``swap`` rotated half a turn)."""
-    cols, word = _letters(region, path)
-    unmatched_b = factorize(word)[0]
+    cols, unmatched_b, _ = _scan(region, path)
     if not unmatched_b:
         raise ValueError("contact word has no unmatched bottom contact")
     return _moved(region, path, cols, _up, unmatched_b[-1:])
@@ -159,18 +170,19 @@ def swapall(region: Region, path: Path) -> Path:
     Applies ``swap`` (or its inverse) as many times as the difference of the
     two counts; when the counts already agree it is the identity.  Columns
     shared by both boundaries count toward both, so the difference is that
-    of the letters of the contact word.
+    of the letters of the contact word.  Matched letters pair off, so it is
+    also the number of unmatched ``t``'s less the number of unmatched
+    ``b``'s, which one ``_scan`` gives with the moves themselves.
 
-    The stack of ``factorize`` is empty at the leftmost unmatched ``t``, so
-    switching it leaves every other letter matched or unmatched as before: the
-    moves are the first t - b unmatched ``t``'s, or the last b - t unmatched
+    The matching stack is empty at the leftmost unmatched ``t``, so switching
+    it leaves every other letter matched or unmatched as before: the moves
+    are the first t - b unmatched ``t``'s, or the last b - t unmatched
     ``b``'s taken rightmost first.
     """
-    cols, word = _letters(region, path)
-    diff = 2 * word.count("t") - len(word)
+    cols, unmatched_b, unmatched_t = _scan(region, path)
+    diff = len(unmatched_t) - len(unmatched_b)
     if diff == 0:
         return path
-    unmatched_b, unmatched_t = factorize(word)
     if diff > 0:
         return _moved(region, path, cols, _down, unmatched_t[:diff])
-    return _moved(region, path, cols, _up, unmatched_b[::-1][:-diff])
+    return _moved(region, path, cols, _up, reversed(unmatched_b[diff:]))

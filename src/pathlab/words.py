@@ -32,18 +32,38 @@ def factorize(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def switch(word: str) -> str:
-    """Replace the leftmost unmatched t with a b."""
-    _, ts = factorize(word)
-    if not ts:
+    """Replace the leftmost unmatched t with a b.
+
+    The unmatched t's are the stack that ``factorize`` leaves, so the
+    leftmost is its bottom: the last t pushed onto an empty stack, provided
+    the stack never empties again."""
+    _check(word)
+    depth = 0
+    for i, ch in enumerate(word):
+        if ch == "t":
+            if not depth:
+                bottom = i
+            depth += 1
+        elif depth:
+            depth -= 1
+    if not depth:
         raise ValueError("word has no unmatched t")
-    i = ts[0] - 1
-    return word[:i] + "b" + word[i + 1 :]
+    return word[:bottom] + "b" + word[bottom + 1 :]
 
 
 def switch_inv(word: str) -> str:
-    """Replace the rightmost unmatched b with a t."""
-    bs, _ = factorize(word)
-    if not bs:
+    """Replace the rightmost unmatched b with a t: the last b met when the
+    stack of ``factorize`` is empty."""
+    _check(word)
+    depth = 0
+    last = -1
+    for i, ch in enumerate(word):
+        if ch == "t":
+            depth += 1
+        elif depth:
+            depth -= 1
+        else:
+            last = i
+    if last < 0:
         raise ValueError("word has no unmatched b")
-    i = bs[-1] - 1
-    return word[:i] + "t" + word[i + 1 :]
+    return word[:last] + "t" + word[last + 1 :]

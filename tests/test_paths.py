@@ -137,6 +137,19 @@ def test_contact_stats_wide_region():
     assert contact_stats(r, p).as_tuple() == (4, 3, 2, 1)
 
 
+def test_contact_stats_is_an_immutable_record():
+    st_ = contact_stats(Region.from_steps("NNENEE", "ENEENN"), Path((0, 1, 2), 3))
+    assert ContactStats._fields == ("t", "b", "l", "r")
+    assert (st_.t, st_.b, st_.l, st_.r) == (0, 2, 0, 2)
+    assert st_.as_tuple() == (0, 2, 0, 2)
+    assert type(st_.as_tuple()) is tuple
+    assert repr(st_) == "ContactStats(t=0, b=2, l=0, r=2)"
+    assert st_ == (0, 2, 0, 2)
+    with pytest.raises(AttributeError):
+        st_.t = 1
+    assert hash(st_) == hash(ContactStats(0, 2, 0, 2))
+
+
 def test_shared_column_counts_to_both():
     r = Region.from_steps("EN", "EN")
     st_ = contact_stats(r, r.bottom)

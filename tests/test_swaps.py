@@ -6,6 +6,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from pathlab import swaps
 from pathlab.enumeration import enumerate_paths, enumerate_tuples
 from pathlab.paths import (
     InvariantError,
@@ -284,6 +285,83 @@ def test_swaps_match_oracle():
     assert multistep > 1000
 
 
+# The swaps as written before the single column scan: the contact word from
+# oracle_letters, its unmatched letters from factorize, then the same move
+# kernels.  The scan must pick the same moves and raise the same errors.
+
+
+def factorized_word(region, path):
+    if not contains(region, path):
+        raise RegionError("path does not lie in the region")
+    letters = oracle_letters(region, path)
+    word = "".join(letter for _, letter in letters)
+    unmatched_b, unmatched_t = factorize(word)
+    cols = [col for col, _ in letters]
+    return cols, word, [i - 1 for i in unmatched_b], [i - 1 for i in unmatched_t]
+
+
+def factorized_contact_word(region, path):
+    return factorized_word(region, path)[1]
+
+
+def factorized_swap(region, path):
+    cols, _, _, unmatched_t = factorized_word(region, path)
+    if not unmatched_t:
+        raise ValueError("contact word has no unmatched top contact")
+    return swaps._moved(region, path, cols, swaps._down, unmatched_t[:1])
+
+
+def factorized_swap_inv(region, path):
+    cols, _, unmatched_b, _ = factorized_word(region, path)
+    if not unmatched_b:
+        raise ValueError("contact word has no unmatched bottom contact")
+    return swaps._moved(region, path, cols, swaps._up, unmatched_b[-1:])
+
+
+def factorized_swapall(region, path):
+    cols, word, unmatched_b, unmatched_t = factorized_word(region, path)
+    diff = word.count("t") - word.count("b")
+    if diff >= 0:
+        return swaps._moved(region, path, cols, swaps._down, unmatched_t[:diff])
+    return swaps._moved(region, path, cols, swaps._up, unmatched_b[::-1][:-diff])
+
+
+SCANNED = [
+    (contact_word, factorized_contact_word),
+    (swap, factorized_swap),
+    (swap_inv, factorized_swap_inv),
+    (swapall, factorized_swapall),
+]
+
+
+def test_scan_matches_factorize():
+    paths = no_b = no_t = multistep = outside = 0
+    for region in all_regions(6):
+        for south_allowed in (False, True):
+            for p in enumerate_paths(region, south_allowed):
+                paths += 1
+                cols, _, unmatched_b, unmatched_t = factorized_word(region, p)
+                assert swaps._scan(region, p) == (cols, unmatched_b, unmatched_t)
+                for fn, reference in SCANNED:
+                    assert outcome(fn, region, p) == outcome(reference, region, p)
+                no_b += not unmatched_b
+                no_t += not unmatched_t
+                multistep += abs(len(unmatched_t) - len(unmatched_b)) > 1
+        for heights in product(range(region.y + 1), repeat=region.x):
+            p = Path(heights, region.y)
+            if not contains(region, p):
+                outside += 1
+                for fn, reference in SCANNED:
+                    assert outcome(fn, region, p) == outcome(reference, region, p)
+    # swap_inv raises on the paths with no unmatched b, swap on those with
+    # no unmatched t; swapall makes more than one move on the multistep ones
+    assert (paths, no_b, no_t, multistep, outside) == (6512, 3220, 3220, 1896, 22061)
+    for wrong in (Path((2, 2, 2), 2), Path((1,), 1), Path((2, 2), 3)):
+        for fn, reference in SCANNED:
+            assert outcome(fn, DYCK22, wrong) == outcome(reference, DYCK22, wrong)
+            assert outcome(fn, DYCK22, wrong) == (RegionError, "path and region dimensions differ")
+
+
 def test_swaps_reject_paths_outside_the_region():
     for region in all_regions(5):
         for heights in product(range(region.y + 1), repeat=region.x):
@@ -323,26 +401,32 @@ from pathlab import InvariantError, swaps
 from pathlab.verify import check_contact_involution
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-factorize = swaps.factorize
+scan = swaps._scan
 
 
-def every_t_unmatched(word):
-    return factorize(word)[0], tuple(i for i, c in enumerate(word, 1) if c == "t")
+def every_t_unmatched(region, path):
+    cols, unmatched_b, _ = scan(region, path)
+    ts = [k for k, col in enumerate(cols) if path.heights[col - 1] == region.top.heights[col - 1]]
+    return cols, unmatched_b, ts
 
 
 def shared_columns_as_tops(region, path):
-    found = [
-        (col, "t" if h == th else "b")
-        for col, (h, th, bh) in enumerate(zip(path.heights, region.t_heights, region.b_heights), 1)
-        if h in (th, bh)
-    ]
-    return [col for col, _ in found], "".join(letter for _, letter in found)
+    cols, unmatched_b, unmatched_t = [], [], []
+    for col, (h, th, bh) in enumerate(zip(path.heights, region.top.heights, region.bottom.heights), 1):
+        if h == th:
+            unmatched_t.append(len(cols))
+        elif h == bh:
+            if unmatched_t:
+                unmatched_t.pop()
+            else:
+                unmatched_b.append(len(cols))
+        else:
+            continue
+        cols.append(col)
+    return cols, unmatched_b, unmatched_t
 
 
-if sys.argv[1] == "factorize":
-    swaps.factorize = every_t_unmatched
-else:
-    swaps._letters = shared_columns_as_tops
+swaps._scan = every_t_unmatched if sys.argv[1] == "matching" else shared_columns_as_tops
 try:
     check_contact_involution(4)
 except InvariantError as exc:
@@ -367,13 +451,13 @@ def run_optimized_check(plant):
 
 
 def test_swap_checks_survive_optimized_mode():
-    # factorize reports matched t's as unmatched, so a move starts at a
+    # the scan reports matched t's as unmatched, so a move starts at a
     # matched t and the next contact lies in its block Y
-    assert run_optimized_check("factorize") == "raised: block Y may not contain contacts\n"
+    assert run_optimized_check("matching") == "raised: block Y may not contain contacts\n"
 
 
 def test_swap_window_check_survives_optimized_mode():
     # the contact scan keeps the columns both boundaries share, as top
     # contacts: a move from one lands where the bottom meets the top, so the
     # landing column holds no bottom contact
-    assert run_optimized_check("letters") == "raised: swap did not switch the contact word\n"
+    assert run_optimized_check("shared") == "raised: swap did not switch the contact word\n"

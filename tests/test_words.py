@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,3 +60,43 @@ def test_switch_preserves_unmatched_count(word):
     assert len(fb) + len(ft) == len(bs) + len(ts)
     assert flipped.count("t") == word.count("t") - 1
     assert switch_inv(flipped) == word
+
+
+def switch_by_factorize(word):
+    _, ts = factorize(word)
+    if not ts:
+        raise ValueError("word has no unmatched t")
+    i = ts[0] - 1
+    return word[:i] + "b" + word[i + 1 :]
+
+
+def switch_inv_by_factorize(word):
+    bs, _ = factorize(word)
+    if not bs:
+        raise ValueError("word has no unmatched b")
+    i = bs[-1] - 1
+    return word[:i] + "t" + word[i + 1 :]
+
+
+def outcome(fn, word):
+    try:
+        return fn(word)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_switches_match_factorize_on_every_short_word():
+    checked = 0
+    for n in range(13):
+        for letters in product("tb", repeat=n):
+            word = "".join(letters)
+            assert outcome(switch, word) == outcome(switch_by_factorize, word)
+            assert outcome(switch_inv, word) == outcome(switch_inv_by_factorize, word)
+            checked += 1
+    assert checked == 2**13 - 1
+
+
+def test_switches_reject_letters_outside_the_alphabet():
+    for fn in (switch, switch_inv):
+        with pytest.raises(ValueError, match=r"^letters outside alphabet \{t, b\}: \['x'\]$"):
+            fn("tx")
