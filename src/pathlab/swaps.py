@@ -28,9 +28,9 @@ def _scan(region: Region, path: Path) -> tuple[list[int], list[int], list[int]]:
     the unmatched ``t``'s, as in ``words.factorize``.
     """
     check_dimensions(region, path)
-    cols: list[int] = []
-    unmatched_b: list[int] = []
-    unmatched_t: list[int] = []
+    cols = []
+    unmatched_b = []
+    unmatched_t = []
     col = 0
     for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
         col += 1
