@@ -244,8 +244,9 @@ def _order_from(text: str, m: int) -> LinearOrder:
     if text == "reversed":
         return reversed_order(m)
     if text.startswith("perm:"):
+        values = text[5:].split(",") if text[5:] else []
         try:
-            order = LinearOrder(tuple(int(v) for v in text[5:].split(",")))
+            order = LinearOrder(tuple(int(v) for v in values))
         except ValueError as exc:
             raise ValueError(f"bad ranking {text[5:]!r}: {exc}") from None
         if len(order.ranking) != m:

@@ -143,8 +143,17 @@ def path_distribution(
     ``paths.contact_stats``: 1 to t if h == t_j, 1 to b if h == b_j, and
     the overlaps of the north run [h_prev, h) with the top's run
     [t_{j-1}, t_j) to l and with the bottom's run [b_{j-1}, b_j) to r.
-    After the last column the final runs up to y add to l and r, and the
-    exponents are unpacked once.
+
+    The r term, max(0, b_j - h_prev), depends on h_prev alone, and the l
+    term, max(0, h - max(h_prev, t_{j-1})), grows by one with each height
+    above t_{j-1} for every h_prev <= h.  So one sweep of the heights from
+    low to high keeps a running sum of the prefixes at every h_prev <= h:
+    a prefix enters it raised by its r term, the whole sum is raised by the
+    l weight at each step above t_{j-1} (held as an offset, ``raised``),
+    and each h in [b_j, t_j] takes a copy raised by its t and b terms.
+    With south steps a second sweep, from high to low, adds the prefixes
+    above h, whose runs are empty.  After the last column the final runs up
+    to y add to l and r, and the exponents are unpacked once.
     """
     if len(stat_names) > len(VAR_NAMES):
         raise ValueError(f"at most {len(VAR_NAMES)} statistics, one per variable name")
@@ -159,22 +168,30 @@ def path_distribution(
     wt, wb, wl, wr = weights
     state = {0: {0: 1}}
     tp = bp = 0
-    for th, bh in zip(region.t_heights, region.b_heights):
+    for th, bh in zip(region.top.heights, region.bottom.heights):
         nxt: dict[int, dict[int, int]] = {}
-        for hp, prefixes in state.items():
-            for h in range(bh if south_allowed else max(bh, hp), th + 1):
-                gain = (wt if h == th else 0) + (wb if h == bh else 0)
-                if h > hp:
-                    if h > tp:
-                        gain += wl * (h - (hp if hp > tp else tp))
-                    if bh > hp and bh > bp:
-                        gain += wr * (bh - (hp if hp > bp else bp))
-                _shift_into(nxt.setdefault(h, {}), prefixes, gain)
+        running: dict[int, int] = {}
+        raised = 0
+        # the previous column's heights are [bp, tp], every one reached
+        for h in range(bp, th + 1):
+            if h > tp:
+                raised += wl
+            else:
+                _shift_into(running, state[h], (wr * (bh - h) if bh > h else 0) - raised)
+            if h >= bh:
+                gain = raised + (wt if h == th else 0) + (wb if h == bh else 0)
+                nxt[h] = {code + gain: n for code, n in running.items()} if gain else dict(running)
+        if south_allowed:
+            above: dict[int, int] = {}
+            for h in range(tp, bh, -1):
+                _shift_into(above, state[h], 0)
+                # h - 1 < t_{j-1} <= t_j, so only the b term can apply
+                _shift_into(nxt[h - 1], above, wb if h - 1 == bh else 0)
         state = nxt
         tp, bp = th, bh
     packed: dict[int, int] = {}
     for hp, prefixes in state.items():
-        gain = wl * (y - (hp if hp > tp else tp)) + wr * (y - (hp if hp > bp else bp))
+        gain = wl * (y - (hp if hp > tp else tp)) + wr * (y - hp)
         _shift_into(packed, prefixes, gain)
     terms = {tuple([code // place % radix for place in places]): n for code, n in packed.items()}
     return MultiPoly(variables, terms)

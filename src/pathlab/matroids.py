@@ -4,8 +4,8 @@ generating polynomial, and the order-change bijection on bases.
 One oracle type, ``BasesOracle``, holds a matroid's bases as bit masks,
 listed once when it is built; lattice path matroids (bases = north-step
 index sets of region paths) and uniform matroids are the two built here.
-Every activity question reads one table per oracle, its exchange masks
-``oracle.masks``.
+Every activity question reads one table per oracle, its exchange buckets
+``oracle.buckets``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .tuples import PathTuple, _inner_region, _replace, bubble_swaps, h_stats, v
 class BasesOracle:
     """A matroid on the ground set 1..ground_size.  ``is_base`` tests one
     subset; ``base_bits`` lists every base as a bit mask (bit e set for
-    element e), in lexicographic order of their sorted elements.  ``masks``,
-    built once, maps those bits to their ``exchange_masks`` rows; every
+    element e), in lexicographic order of their sorted elements.
+    ``buckets``, built once, holds their ``exchange_buckets``; every
     activity reads it."""
 
     ground_size: int
@@ -47,8 +47,8 @@ class BasesOracle:
         return [frozenset(e for e in ground if bits >> e & 1) for bits in self.base_bits]
 
     @cached_property
-    def masks(self) -> dict[int, list[int]]:
-        return exchange_masks(self.base_bits, self.ground_size)
+    def buckets(self) -> dict[int, int]:
+        return exchange_buckets(self.base_bits, self.ground_size)
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,19 @@ def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
     return BasesOracle(ground_size, rank, lambda s: len(s) == rank, tuple(bits))
 
 
-def _row(oracle: BasesOracle, base: frozenset[int]) -> list[int]:
-    """The base's row of ``oracle.masks``, or ValueError for a non-base."""
-    row = oracle.masks.get(sum(1 << e for e in base))
-    if row is None:
+def _bits(oracle: BasesOracle, base: frozenset[int]) -> int:
+    """The base's bit mask, or ValueError for a non-base.  B is a listed
+    base exactly when the bucket of B ^ e holds e, for any one ground
+    element e; this takes e = 1.  Over the empty ground set the one base is
+    the empty set."""
+    bits = sum(1 << e for e in base)
+    if oracle.ground_size:
+        listed = oracle.buckets.get(bits ^ 2, 0) & 2
+    else:
+        listed = bits == 0
+    if not listed:
         raise ValueError("not a base")
-    return row
+    return bits
 
 
 def _below(ranking: tuple[int, ...]) -> dict[int, int]:
@@ -141,9 +148,11 @@ def active_elements(
     oracle: BasesOracle, base: frozenset[int], order: LinearOrder
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(internally active, externally active) element sets."""
-    row = _row(oracle, base)
+    bits = _bits(oracle, base)
+    buckets = oracle.buckets
     below = _below(order.ranking)
-    active = frozenset(e for e in range(1, oracle.ground_size + 1) if row[e] & below[e] == 0)
+    ground = range(1, oracle.ground_size + 1)
+    active = frozenset(e for e in ground if buckets[bits ^ 1 << e] & below[e] == 0)
     return active & base, active - base
 
 
@@ -154,18 +163,18 @@ def activities(
     return len(internal), len(external)
 
 
-def exchange_masks(encoded: tuple[int, ...], m: int) -> dict[int, list[int]]:
-    """Map each base over the ground set 1..m, given as a bit mask (bit e
-    set for element e), to its row: for each ground element e, the bit mask
-    of the elements f such that exchanging e and f (one in the base, the
-    other not) gives another listed base.
+def exchange_buckets(encoded: tuple[int, ...], m: int) -> dict[int, int]:
+    """Map each set one element away from a base over the ground set 1..m,
+    B - e or B + e with B given as a bit mask (bit e set for element e), to
+    its bucket: the bit mask of the elements whose toggle takes it to a
+    listed base.
 
-    The list must hold every base of the matroid: ``activity_terms`` then
-    reads activities under any order off these masks alone.
-
-    A set one element away from a base, B - e or B + f, is a bucket of
-    the elements whose toggle takes it to a listed base; its size tells the
-    two kinds apart.  Either element's row entry is its bucket without it.
+    The bucket of B ^ e holds e itself and every f such that exchanging e
+    and f (one in B, the other not) gives another listed base, so an
+    element e is active in B under an order exactly when the bucket of
+    B ^ e meets none of the elements ranked before e.  The list must hold
+    every base of the matroid: ``activity_terms`` then reads activities
+    under any order off these buckets alone.
     """
     bit = [1 << e for e in range(1, m + 1)]
     buckets: dict[int, int] = {}
@@ -173,23 +182,22 @@ def exchange_masks(encoded: tuple[int, ...], m: int) -> dict[int, list[int]]:
         for b in bit:
             key = bits ^ b
             buckets[key] = buckets.get(key, 0) | b
-    return {bits: [0] + [buckets[bits ^ b] ^ b for b in bit] for bits in encoded}
+    return buckets
 
 
-def activity_terms(
-    masks: dict[int, list[int]], ranking: tuple[int, ...]
-) -> dict[tuple[int, int], int]:
-    """Counts of (internal, external) activity pairs over the bases whose
-    ``exchange_masks`` are given, under the order listing ``ranking``
-    smallest first.  An element is active when no smaller element
+def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Counts of (internal, external) activity pairs over the oracle's
+    bases, under the order listing ``ranking`` smallest first, read off
+    ``oracle.buckets``.  An element is active when no smaller element
     exchanges with it."""
-    below = _below(ranking).items()
+    buckets = oracle.buckets
+    below = [(1 << e, smaller) for e, smaller in _below(ranking).items()]
     terms: dict[tuple[int, int], int] = {}
-    for bits, row in masks.items():
+    for bits in oracle.base_bits:
         internal = external = 0
-        for e, smaller in below:
-            if row[e] & smaller == 0:
-                if bits >> e & 1:
+        for b, smaller in below:
+            if buckets[bits ^ b] & smaller == 0:
+                if bits & b:
                     internal += 1
                 else:
                     external += 1
@@ -199,10 +207,10 @@ def activity_terms(
 
 def tutte_poly(oracle: BasesOracle, order: LinearOrder) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
-    over all bases, read off ``oracle.masks``, which every order shares."""
+    over all bases, read off ``oracle.buckets``, which every order shares."""
     if len(order.ranking) != oracle.ground_size:
         raise ValueError("the order must rank the whole ground set")
-    return MultiPoly(("x", "y"), activity_terms(oracle.masks, order.ranking))
+    return MultiPoly(("x", "y"), activity_terms(oracle, order.ranking))
 
 
 def phi_xy(
@@ -215,13 +223,14 @@ def phi_xy(
     """Activity-preserving base bijection for transposing the adjacent pair
     x before y in the order: the x-y exchange when it is a base and x is
     active, or y is once moved before x (below the same elements)."""
-    row = _row(oracle, base)
+    bits = _bits(oracle, base)
     if not order.precedes(x, y) or abs(order.rank_of[x] - order.rank_of[y]) != 1:
         raise ValueError("x must immediately precede y in the order")
-    if not row[x] >> y & 1:
+    x_bucket = oracle.buckets[bits ^ 1 << x]
+    if not x_bucket >> y & 1:
         return base
     before = _below(order.ranking)[x]
-    if row[x] & before == 0 or row[y] & before == 0:
+    if x_bucket & before == 0 or oracle.buckets[bits ^ 1 << y] & before == 0:
         return frozenset(base ^ {x, y})
     return base
 
@@ -236,7 +245,7 @@ def reorder_bijection(
     two orders; activities with respect to the target order match the
     original activities with respect to the source order.  A non-base raises
     ``ValueError``, even when the two orders agree."""
-    _row(oracle, base)
+    _bits(oracle, base)
     cur_order = from_order
     cur_base = base
     for p in bubble_swaps(from_order.ranking, to_order.rank_of):

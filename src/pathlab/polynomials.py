@@ -69,11 +69,13 @@ class MultiPoly:
         return sorted(self.terms.items())
 
     def to_json(self) -> str:
-        payload = {
-            "vars": list(self.variables),
-            "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms()],
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        """Compact JSON, ``{"vars":[...],"terms":[{"exp":[...],"coef":c},...]}``
+        with the terms sorted: one ``%d`` template per polynomial fills every
+        term, and only the variable names go through ``json.dumps``."""
+        names = ",".join([json.dumps(v) for v in self.variables])
+        term = '{"exp":[' + ",".join(["%d"] * len(self.variables)) + '],"coef":%d}'
+        terms = ",".join([term % (*exp, coef) for exp, coef in self.sorted_terms()])
+        return '{"vars":[%s],"terms":[%s]}' % (names, terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -50,11 +50,19 @@ def _scan(region: Region, path: Path) -> tuple[list[int], list[int], list[int]]:
 
 
 def contact_word(region: Region, path: Path) -> str:
-    """The path's contact letters in column order (see ``_scan``)."""
-    heights, t_heights = path.heights, region.top.heights
+    """The path's contact letters in column order (see ``_scan``), spelled
+    in one pass over the columns, or ``RegionError`` if the path does not
+    lie in the region."""
+    check_dimensions(region, path)
     word = ""
-    for c in _scan(region, path)[0]:
-        word += "t" if heights[c - 1] == t_heights[c - 1] else "b"
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
+        if h == th:
+            if h != bh:
+                word += "t"
+        elif h == bh:
+            word += "b"
+        elif h > th or h < bh:
+            raise RegionError("path does not lie in the region")
     return word
 
 

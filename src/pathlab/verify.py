@@ -197,9 +197,9 @@ def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
     regions = 0
     for region in all_regions(max_semi):
         m = region.x + region.y
-        masks = lpm_oracle(region).masks
-        terms = activity_terms(masks, tuple(range(1, m + 1)))
-        if any(activity_terms(masks, order) != terms for order in permutations(range(1, m + 1))):
+        oracle = lpm_oracle(region)
+        terms = activity_terms(oracle, tuple(range(1, m + 1)))
+        if any(activity_terms(oracle, order) != terms for order in permutations(range(1, m + 1))):
             return VerifyResult(name, False, "order changed the polynomial", f"{region}")
         regions += 1
 

@@ -3,6 +3,7 @@
 An oracle that only one module needs lives in that module.
 """
 
+import json
 from itertools import permutations
 
 from pathlab.paths import Path, Region
@@ -43,3 +44,13 @@ def leibniz(n: int):
     for perm in permutations(range(n)):
         inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
         yield (-1) ** inversions, perm
+
+
+def json_by_payload(poly: MultiPoly) -> str:
+    """The oracle for ``MultiPoly.to_json``: the payload as plain lists and
+    dicts, written by ``json.dumps``."""
+    payload = {
+        "vars": list(poly.variables),
+        "terms": [{"exp": list(e), "coef": c} for e, c in poly.sorted_terms()],
+    }
+    return json.dumps(payload, separators=(",", ":"))

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from pathlab import cli
 from pathlab.cli import main
-from pathlab.paths import Path
+from pathlab.enumeration import path_distribution
+from pathlab.paths import Path, Region
 from pathlab.verify import SUITES
+
+from oracles import json_by_payload
 
 
 def run(capsys, *argv):
@@ -33,6 +36,8 @@ def test_dist_reproduces_display_polynomial(capsys):
     terms = {tuple(t["exp"]): t["coef"] for t in payload["terms"]}
     assert terms[(0, 0)] == 1 and terms[(1, 1)] == 2 and terms[(3, 0)] == 1
     assert sum(terms.values()) == 15
+    region = Region.from_steps("NNENEE", "ENEENN")
+    assert out == json_by_payload(path_distribution(region, ["t", "b"])) + "\n"
 
 
 def test_output_is_deterministic(capsys):
@@ -129,6 +134,31 @@ def test_tutte_verb(capsys):
     assert code == 0
     payload = json.loads(out)
     assert {tuple(t["exp"]) for t in payload["terms"]} == {(0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["tutte", "--T", "", "--B", "", "--order", "perm:"], "1"),
+        (["tutte", "--T", "", "--B", "", "--order", "perm:", "--format", "json"],
+         '{"vars":["x","y"],"terms":[{"exp":[0,0],"coef":1}]}'),
+        (["activities", "--T", "", "--B", "", "--base", "", "--order", "perm:"],
+         "internal [] external [] -> (0, 0)"),
+    ],
+)
+def test_empty_ranking_orders_the_empty_ground_set(capsys, argv, expected):
+    natural = [arg if arg != "perm:" else "natural" for arg in argv]
+    assert run(capsys, *natural) == (0, expected + "\n")
+    assert run(capsys, *argv) == (0, expected + "\n")
+
+
+@pytest.mark.parametrize("verb", [["tutte"], ["activities", "--base", "1,2"]])
+def test_empty_ranking_on_a_nonempty_ground_set_is_usage_error(capsys, verb):
+    argv = [*verb, "--T", "NNEE", "--B", "ENEN", "--order", "perm:"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ranking must order all 4 ground elements\n"
 
 
 def test_activities_empty_base_on_rank_zero_region(capsys):

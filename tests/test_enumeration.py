@@ -1,7 +1,7 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 
 import pytest
@@ -189,6 +189,48 @@ def test_path_distribution_matches_per_path_count():
                 assert got.variables == expected.variables
                 cases += 1
     assert cases == 106860
+
+
+def staircase_regions(max_y: int):
+    """For each y up to the bound, the square's regions bounded by the
+    staircase: between it and the floor, between it and its shift one step
+    down, and between the roof and that shift."""
+    for y in range(1, max_y + 1):
+        roof, stair, low, floor = (y,) * y, tuple(range(1, y + 1)), tuple(range(y)), (0,) * y
+        for top, bottom in ((stair, floor), (stair, low), (roof, low)):
+            yield Region(Path(top, y), Path(bottom, y))
+
+
+# South-step listings grow as the product of the column spans, so the oracle
+# lists them only up to this many paths.
+MAX_SOUTH_PATHS = 10_000
+
+
+def test_path_distribution_matches_per_path_count_on_tall_columns():
+    """Regions whose columns span many heights, where the running sum of
+    ``path_distribution`` takes many raises and the downward sweep many
+    prefixes: every rectangle with x * y <= 24 and the staircase regions up
+    to y = 10, over every entry of ``STAT_LISTS``, each without south steps
+    and, up to ``MAX_SOUTH_PATHS`` paths, with them."""
+    regions = [rectangle(x, y) for x in range(1, 25) for y in range(1, 25 // x + 1) if x * y <= 24]
+    regions += staircase_regions(10)
+    cases = 0
+    for region in regions:
+        south_paths = prod(t - b + 1 for t, b in zip(region.t_heights, region.b_heights))
+        for south in (False, True) if south_paths <= MAX_SOUTH_PATHS else (False,):
+            # each path's four statistics, counted once and then projected
+            contacts = Counter(contact_stats(region, p) for p in enumerate_paths(region, south))
+            for names in STAT_LISTS:
+                slots = [CONTACT_STATS.index(name) for name in names]
+                terms = Counter()
+                for stats, count in contacts.items():
+                    terms[tuple(stats[slot] for slot in slots)] += count
+                expected = MultiPoly(VAR_NAMES[: len(names)], dict(terms))
+                got = path_distribution(region, names, south)
+                assert got == expected, (region, names, south)
+                assert got.variables == expected.variables
+                cases += 1
+    assert cases == 5252
 
 
 def test_path_distribution_takes_one_letter_per_variable_name():

@@ -11,6 +11,7 @@ from pathlab.matroids import (
     LinearOrder,
     activities,
     active_elements,
+    activity_terms,
     bltr_single_path,
     bottom_contact_positions,
     left_contact_positions,
@@ -267,7 +268,7 @@ def test_tutte_poly_matches_per_base_activities():
 
 
 def test_mask_activities_match_the_definition():
-    """``active_elements`` and ``phi_xy`` read ``oracle.masks``; the
+    """``active_elements`` and ``phi_xy`` read ``oracle.buckets``; the
     definition tests every exchange through ``is_base``.  Every order for
     m <= 4, else the natural, reversed and one shuffled order."""
     cases = 0
@@ -302,6 +303,27 @@ def test_non_bases_are_rejected_not_mapped():
         active_elements(oracle, non_base, natural_order(4))
 
 
+def test_exactly_the_non_bases_are_rejected():
+    """Every subset of the ground set, the empty ground set included:
+    ``active_elements`` answers exactly when ``is_base`` holds.  With 0 or
+    m + 1 added, which the uniform ``is_base`` does not test, it refuses."""
+    cases = 0
+    for oracle in small_oracles():
+        m = oracle.ground_size
+        order = natural_order(m)
+        for size in range(m + 1):
+            for subset in combinations(range(1, m + 1), size):
+                for extra in ((), (0,), (m + 1,)):
+                    candidate = frozenset(subset + extra)
+                    if not extra and oracle.is_base(candidate):
+                        active_elements(oracle, candidate, order)
+                    else:
+                        with pytest.raises(ValueError, match="not a base"):
+                            active_elements(oracle, candidate, order)
+                    cases += 1
+    assert cases == 16062
+
+
 def encode(base):
     return sum(1 << e for e in base)
 
@@ -313,27 +335,80 @@ def test_base_bits_list_the_bases():
         assert oracle.base_bits == tuple(encode(b) for b in bases_by_filter(oracle)), oracle
 
 
+def exchange_rows(encoded, m):
+    """The per-base table the buckets replace: each base's bit mask maps to
+    its row, which holds for each ground element e the bit mask of the
+    elements f that exchange with e (one in the base, the other not) to
+    give another listed base."""
+    bit = [1 << e for e in range(1, m + 1)]
+    buckets = {}
+    for bits in encoded:
+        for b in bit:
+            buckets[bits ^ b] = buckets.get(bits ^ b, 0) | b
+    return {bits: [0] + [buckets[bits ^ b] ^ b for b in bit] for bits in encoded}
+
+
+def activity_terms_by_rows(rows, ranking):
+    """The oracle for ``activity_terms``: (internal, external) activity
+    counts read off each base's row of ``exchange_rows``."""
+    below = {}
+    seen = 0
+    for e in ranking:
+        below[e] = seen
+        seen |= 1 << e
+    terms = Counter()
+    for bits, row in rows.items():
+        internal = external = 0
+        for e, smaller in below.items():
+            if row[e] & smaller == 0:
+                if bits >> e & 1:
+                    internal += 1
+                else:
+                    external += 1
+        terms[internal, external] += 1
+    return dict(terms)
+
+
 def test_exchange_mask_bits_match_is_base():
-    """Every mask bit against ``is_base`` of the exchanged set, rows in the
-    order of ``base_bits``.  The uniform oracles take every rank from 0 to
-    m, so ranks 0, 1, m - 1 and m, where a base has no or one element on a
-    side, are all covered."""
+    """Every bit of the rows and of the buckets against ``is_base`` of the
+    exchanged set, rows in the order of ``base_bits``.  The uniform oracles
+    take every rank from 0 to m, so ranks 0, 1, m - 1 and m, where a base
+    has no or one element on a side, are all covered."""
     oracles = [lpm_oracle(region) for region in all_regions(6)] + uniform_oracles(6)
     for oracle in oracles:
-        assert list(oracle.masks) == list(oracle.base_bits), oracle
-        ground = range(1, oracle.ground_size + 1)
-        for bits, masks in oracle.masks.items():
+        m = oracle.ground_size
+        rows = exchange_rows(oracle.base_bits, m)
+        buckets = oracle.buckets
+        assert list(rows) == list(oracle.base_bits), oracle
+        ground = range(1, m + 1)
+        assert set(buckets) == {bits ^ 1 << e for bits in oracle.base_bits for e in ground}
+        for bits, row in rows.items():
             base = frozenset(e for e in ground if bits >> e & 1)
             for e in ground:
+                bucket = buckets[bits ^ 1 << e]
+                assert bucket >> e & 1, (oracle, base, e)
                 for f in ground:
                     exchanged = base ^ {e, f}
                     expected = (e in base) != (f in base) and oracle.is_base(exchanged)
-                    assert bool(masks[e] >> f & 1) == expected, (oracle, base, e, f)
+                    assert bool(row[e] >> f & 1) == expected, (oracle, base, e, f)
+                    assert (f != e and bool(bucket >> f & 1)) == expected, (oracle, base, e, f)
+
+
+def test_activity_terms_match_the_row_oracle():
+    """Every order of every small oracle, m <= 5."""
+    cases = 0
+    for oracle in small_oracles():
+        m = oracle.ground_size
+        rows = exchange_rows(oracle.base_bits, m)
+        for ranking in permutations(range(1, m + 1)):
+            assert activity_terms(oracle, ranking) == activity_terms_by_rows(rows, ranking), (oracle, ranking)
+            cases += 1
+    assert cases == 17818
 
 
 def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
     calls = []
-    build = matroids.exchange_masks
+    build = matroids.exchange_buckets
 
     def counted(encoded, m):
         calls.append(m)
@@ -342,7 +417,7 @@ def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
     shuffled = list(range(1, 7))
     random.Random(6).shuffle(shuffled)
     orders = (natural_order(6), reversed_order(6), LinearOrder(tuple(shuffled)))
-    monkeypatch.setattr(matroids, "exchange_masks", counted)
+    monkeypatch.setattr(matroids, "exchange_buckets", counted)
     oracle = lpm_oracle(SMALL)
     polys = [tutte_poly(oracle, order) for order in orders]
     assert calls == [6]

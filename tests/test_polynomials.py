@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from pathlab.polynomials import MultiPoly, int_determinant
 
-from oracles import leibniz, parse_poly
+from oracles import json_by_payload, leibniz, parse_poly
 
 
 def xy(terms):
@@ -30,6 +30,24 @@ def test_json_sorts_terms():
     p = xy({(1, 2): 3, (0, 1): -1, (1, 0): 2})
     text = p.to_json()
     assert text.index('"exp":[0,1]') < text.index('"exp":[1,0]') < text.index('"exp":[1,2]')
+
+
+# Variable names with the characters JSON escapes or writes as \u escapes,
+# exponent vectors of their length, and coefficients of any size (zeros are
+# dropped, so a polynomial may have no terms).
+NAME = st.text(st.sampled_from('xy"\\\n\u00e9\u2202\U0001f600'), max_size=3)
+POLY = st.lists(NAME, max_size=4, unique=True).flatmap(
+    lambda names: st.dictionaries(
+        st.lists(st.integers(0, 10**6), min_size=len(names), max_size=len(names)).map(tuple),
+        st.integers(-3, 3) | st.integers(-(10**40), 10**40),
+        max_size=6,
+    ).map(lambda terms: MultiPoly(names, terms))
+)
+
+
+@given(POLY)
+def test_json_matches_the_payload_oracle(p):
+    assert p.to_json() == json_by_payload(p)
 
 
 def test_parse_poly_matches_display():
