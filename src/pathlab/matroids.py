@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Callable
 
 from .enumeration import _height_sequences
@@ -191,7 +192,9 @@ def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[
     ``oracle.buckets``.  An element is active when no smaller element
     exchanges with it."""
     buckets = oracle.buckets
-    below = [(1 << e, smaller) for e, smaller in _below(ranking).items()]
+    # each element's bit with the bit mask of the elements ranked before it
+    bits_in_order = [1 << e for e in ranking]
+    below = list(zip(bits_in_order, accumulate(bits_in_order, or_, initial=0)))
     terms: dict[tuple[int, int], int] = {}
     for bits in oracle.base_bits:
         internal = external = 0

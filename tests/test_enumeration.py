@@ -212,7 +212,7 @@ def test_path_distribution_matches_per_path_count_on_tall_columns():
     prefixes: every rectangle with x * y <= 24 and the staircase regions up
     to y = 10, over every entry of ``STAT_LISTS``, each without south steps
     and, up to ``MAX_SOUTH_PATHS`` paths, with them."""
-    regions = [rectangle(x, y) for x in range(1, 25) for y in range(1, 25 // x + 1) if x * y <= 24]
+    regions = [rectangle(x, y) for x in range(1, 25) for y in range(1, 24 // x + 1)]
     regions += staircase_regions(10)
     cases = 0
     for region in regions:
