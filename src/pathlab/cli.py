@@ -2,10 +2,11 @@
 batch verification sweeps.
 
 Exit codes: 0 on success or a verified sweep, 1 when a check finds a
-counterexample, 2 on usage errors: any argument a verb rejects, malformed
-path, region, word or tableau text included.  Stdout is byte-deterministic
-for fixed arguments; ``verify`` and ``check-conjectures`` write the wall time
-of each sweep to stderr.
+counterexample or a ``verify`` sweep raises (its suite prints FAIL and the
+later suites still run), 2 on usage errors: any argument a verb rejects,
+malformed path, region, word or tableau text included.  Stdout is
+byte-deterministic for fixed arguments; ``verify`` and ``check-conjectures``
+write the wall time of each sweep to stderr.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .triangulations import (
     nicolas_check,
 )
 from .tuples import PathTuple, h_stats, u_stats, v_stats
-from .verify import SUITES
+from .verify import SUITES, VerifyResult
 from .words import factorize, switch, switch_inv
 
 
@@ -279,9 +280,10 @@ def cmd_activities(args) -> int:
             raise ValueError(f"base must be comma-separated integers, not {args.base!r}") from None
     else:
         raise ValueError("need --base or --path")
-    if not oracle.is_base(base):
-        raise ValueError(f"{sorted(base)} is not a base of the region's path matroid")
-    internal, external = active_elements(oracle, base, order)
+    try:
+        internal, external = active_elements(oracle, base, order)
+    except ValueError:
+        raise ValueError(f"{sorted(base)} is not a base of the region's path matroid") from None
     payload = {
         "internal": sorted(internal),
         "external": sorted(external),
@@ -419,6 +421,14 @@ _VERIFY_EPILOG = "--max M (at least 1, default 6) bounds each sweep as follows:\
 )
 
 
+def _run_suite(name: str, max_semi: int) -> VerifyResult:
+    """A suite's result; an exception from the code under test fails it."""
+    try:
+        return SUITES[name][1](max_semi)
+    except Exception as exc:
+        return VerifyResult(name, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def cmd_verify(args) -> int:
     if args.list:
         for name in sorted(SUITES):
@@ -432,7 +442,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown suite {name!r}; use --list")
     failed = False
     for name in names:
-        result = _timed(name, lambda: SUITES[name][1](args.max))
+        result = _timed(name, lambda: _run_suite(name, args.max))
         print(result.line(), flush=True)
         failed = failed or not result.ok
     return 1 if failed else 0

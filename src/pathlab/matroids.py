@@ -4,8 +4,8 @@ generating polynomial, and the order-change bijection on bases.
 One oracle type, ``BasesOracle``, holds a matroid's bases as bit masks,
 listed once when it is built; lattice path matroids (bases = north-step
 index sets of region paths) and uniform matroids are the two built here.
-Every activity question reads one table per oracle, its exchange buckets
-``oracle.buckets``.
+Every activity question reads its exchange buckets ``oracle.buckets``; the
+activity polynomial also reads their order-free part, ``oracle.split``.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 from operator import or_
-from typing import Callable
 
-from .enumeration import _height_sequences
 from .paths import (
     InvariantError,
     Path,
-    PathError,
     Region,
     contains,
     north_index_set,
@@ -32,15 +29,13 @@ from .tuples import PathTuple, _inner_region, _replace, bubble_swaps, h_stats, v
 
 @dataclass(frozen=True)
 class BasesOracle:
-    """A matroid on the ground set 1..ground_size.  ``is_base`` tests one
-    subset; ``base_bits`` lists every base as a bit mask (bit e set for
-    element e), in lexicographic order of their sorted elements.
-    ``buckets``, built once, holds their ``exchange_buckets``; every
-    activity reads it."""
+    """A matroid on the ground set 1..ground_size.  ``base_bits`` lists
+    every base as a bit mask (bit e set for element e), in lexicographic
+    order of their sorted elements.  ``buckets`` and ``split`` are each
+    built once; every activity reads them."""
 
     ground_size: int
     rank: int
-    is_base: Callable[[frozenset[int]], bool]
     base_bits: tuple[int, ...]
 
     def bases(self) -> list[frozenset[int]]:
@@ -50,6 +45,25 @@ class BasesOracle:
     @cached_property
     def buckets(self) -> dict[int, int]:
         return exchange_buckets(self.base_bits, self.ground_size)
+
+    @cached_property
+    def split(self) -> tuple[dict[int, int], list[tuple[int, int]]]:
+        """What no order changes, and the rest.  Under any order a bucket
+        holds one active (base, element) pair: its least element e, for the
+        base key ^ e, internal when that base is the larger set.  So each
+        one-element bucket credits its base here, in a score per base that
+        packs (internal, external) as internal + (m + 1) * external; the
+        buckets of two or more elements are listed for each order."""
+        radix = self.ground_size + 1
+        seed = dict.fromkeys(self.base_bits, 0)
+        multi = []
+        for key, bucket in self.buckets.items():
+            if bucket & bucket - 1:
+                multi.append((key, bucket))
+            else:
+                base = key ^ bucket
+                seed[base] += 1 if base > key else radix
+        return seed, multi
 
 
 @dataclass(frozen=True)
@@ -90,59 +104,40 @@ def reversed_order(m: int) -> LinearOrder:
 
 def lpm_oracle(region: Region) -> BasesOracle:
     """Bases are the y-subsets of [x+y] that are the north-step positions of
-    some path in the region.  ``is_base`` tests one subset without listing
-    any.  ``base_bits`` takes each path's complement of its east positions
-    i + h_i (see ``paths``), in reversed height order, which is the
-    lexicographic order of north-step sets: where two paths first differ,
-    the higher one takes a north step where the lower takes an east step."""
+    some path in the region.  ``base_bits`` takes each path's complement of
+    its east positions i + h_i (see ``paths``) by a column transfer, right
+    to left: ``suffix[h]`` lists the masks of the columns to the right for
+    the paths whose next column is at height >= h (none above t_c), highest
+    first.  That is the lexicographic order of north-step sets: where two
+    paths first differ, the higher one takes a north step."""
     x, y = region.x, region.y
-
-    def is_base(subset: frozenset[int]) -> bool:
-        if len(subset) != y:
-            return False
-        try:
-            path = path_from_north_set(x, y, frozenset(subset))
-        except PathError:
-            return False
-        return contains(region, path)
-
-    full = (1 << x + y + 1) - 2
-    bits = [
-        full - sum(1 << i + h for i, h in enumerate(heights, 1))
-        for heights in _height_sequences(region.b_heights, region.t_heights)
-    ]
-    return BasesOracle(x + y, y, is_base, tuple(reversed(bits)))
+    suffix = [[(1 << x + y + 1) - 2]] * (y + 1)
+    for c in range(x, 0, -1):
+        acc: list[int] = []
+        column = []
+        for h in range(region.t_heights[c - 1], region.b_heights[c - 1] - 1, -1):
+            east = 1 << c + h
+            acc = acc + [bits ^ east for bits in suffix[h]]
+            column.append(acc)
+        suffix = [acc] * region.b_heights[c - 1] + column[::-1]
+    return BasesOracle(x + y, y, tuple(suffix[0]))
 
 
 def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
     bits = (sum(1 << e for e in c) for c in combinations(range(1, ground_size + 1), rank))
-    return BasesOracle(ground_size, rank, lambda s: len(s) == rank, tuple(bits))
+    return BasesOracle(ground_size, rank, tuple(bits))
 
 
 def _bits(oracle: BasesOracle, base: frozenset[int]) -> int:
-    """The base's bit mask, or ValueError for a non-base.  B is a listed
-    base exactly when the bucket of B ^ e holds e, for any one ground
-    element e; this takes e = 1.  Over the empty ground set the one base is
-    the empty set."""
-    bits = sum(1 << e for e in base)
-    if oracle.ground_size:
-        listed = oracle.buckets.get(bits ^ 2, 0) & 2
-    else:
-        listed = bits == 0
-    if not listed:
-        raise ValueError("not a base")
-    return bits
-
-
-def _below(ranking: tuple[int, ...]) -> dict[int, int]:
-    """For each element of ``ranking``, the bit mask of the elements ranked
-    before it."""
-    below = {}
-    seen = 0
-    for e in ranking:
-        below[e] = seen
-        seen |= 1 << e
-    return below
+    """The base's bit mask, or ValueError for a non-base: the bases are the
+    keys of ``oracle.split``'s scores.  Elements outside 1..m are refused
+    before any is shifted into a mask."""
+    ground = range(1, oracle.ground_size + 1)
+    if all(e in ground for e in base):
+        bits = sum(1 << e for e in base)
+        if bits in oracle.split[0]:
+            return bits
+    raise ValueError("not a base")
 
 
 def active_elements(
@@ -151,7 +146,8 @@ def active_elements(
     """(internally active, externally active) element sets."""
     bits = _bits(oracle, base)
     buckets = oracle.buckets
-    below = _below(order.ranking)
+    # each element's bit mask of the elements ranked before it
+    below = dict(zip(order.ranking, accumulate((1 << e for e in order.ranking), or_, initial=0)))
     ground = range(1, oracle.ground_size + 1)
     active = frozenset(e for e in ground if buckets[bits ^ 1 << e] & below[e] == 0)
     return active & base, active - base
@@ -165,18 +161,13 @@ def activities(
 
 
 def exchange_buckets(encoded: tuple[int, ...], m: int) -> dict[int, int]:
-    """Map each set one element away from a base over the ground set 1..m,
-    B - e or B + e with B given as a bit mask (bit e set for element e), to
-    its bucket: the bit mask of the elements whose toggle takes it to a
-    listed base.
-
-    The bucket of B ^ e holds e itself and every f such that exchanging e
-    and f (one in B, the other not) gives another listed base, so an
-    element e is active in B under an order exactly when the bucket of
-    B ^ e meets none of the elements ranked before e.  The list must hold
-    every base of the matroid: ``activity_terms`` then reads activities
-    under any order off these buckets alone.
-    """
+    """Map each set one element away from a listed base over 1..m, B - e or
+    B + e with B a bit mask (bit e set for element e), to its bucket: the
+    bit mask of the elements whose toggle takes it to a listed base, e
+    itself and every f that exchanges with e.  So e is active in B under an
+    order exactly when the bucket of B ^ e meets no element ranked before
+    e.  With every base of the matroid listed, activities under any order
+    read these buckets alone."""
     bit = [1 << e for e in range(1, m + 1)]
     buckets: dict[int, int] = {}
     for bits in encoded:
@@ -188,29 +179,28 @@ def exchange_buckets(encoded: tuple[int, ...], m: int) -> dict[int, int]:
 
 def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Counts of (internal, external) activity pairs over the oracle's
-    bases, under the order listing ``ranking`` smallest first, read off
-    ``oracle.buckets``.  An element is active when no smaller element
-    exchanges with it."""
-    buckets = oracle.buckets
-    # each element's bit with the bit mask of the elements ranked before it
+    bases, under the order listing ``ranking`` smallest first: one step per
+    bucket of two or more elements, which credits its least element under
+    the order on top of the scores in ``oracle.split``."""
+    seed, multi = oracle.split
+    radix = oracle.ground_size + 1
     bits_in_order = [1 << e for e in ranking]
-    below = list(zip(bits_in_order, accumulate(bits_in_order, or_, initial=0)))
-    terms: dict[tuple[int, int], int] = {}
-    for bits in oracle.base_bits:
-        internal = external = 0
-        for b, smaller in below:
-            if buckets[bits ^ b] & smaller == 0:
-                if bits & b:
-                    internal += 1
-                else:
-                    external += 1
-        terms[(internal, external)] = terms.get((internal, external), 0) + 1
-    return terms
+    scores = seed.copy()
+    for key, bucket in multi:
+        for least in bits_in_order:
+            if bucket & least:
+                break
+        base = key ^ least
+        scores[base] += 1 if base > key else radix
+    counts: dict[int, int] = {}
+    for score in scores.values():
+        counts[score] = counts.get(score, 0) + 1
+    return {(score % radix, score // radix): n for score, n in counts.items()}
 
 
 def tutte_poly(oracle: BasesOracle, order: LinearOrder) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
-    over all bases, read off ``oracle.buckets``, which every order shares."""
+    over all bases, read off ``oracle.split``, which every order shares."""
     if len(order.ranking) != oracle.ground_size:
         raise ValueError("the order must rank the whole ground set")
     return MultiPoly(("x", "y"), activity_terms(oracle, order.ranking))
@@ -232,7 +222,7 @@ def phi_xy(
     x_bucket = oracle.buckets[bits ^ 1 << x]
     if not x_bucket >> y & 1:
         return base
-    before = _below(order.ranking)[x]
+    before = sum(1 << e for e in order.ranking[: order.rank_of[x]])
     if x_bucket & before == 0 or oracle.buckets[bits ^ 1 << y] & before == 0:
         return frozenset(base ^ {x, y})
     return base

@@ -1,12 +1,14 @@
-"""Test oracles that more than one test module uses.
+"""Test oracles that more than one test module uses, and the definitions
+of matroid bases that the library's oracles list without testing.
 
-An oracle that only one module needs lives in that module.
+Any other oracle that only one module needs lives in that module.
 """
 
 import json
 from itertools import permutations
+from typing import Callable
 
-from pathlab.paths import Path, Region
+from pathlab.paths import Path, PathError, Region, contains, path_from_north_set
 from pathlab.polynomials import MultiPoly
 
 
@@ -36,6 +38,28 @@ def parse_poly(text: str, variables) -> MultiPoly:
 def rectangle(x: int, y: int) -> Region:
     """The region of every monotone path from (0, 0) to (x, y)."""
     return Region(Path((y,) * x, y), Path((0,) * x, y))
+
+
+def lpm_is_base(region: Region) -> Callable[[frozenset[int]], bool]:
+    """The definition of the region's path matroid: a subset is a base when
+    it is the north-step index set of a path inside the region."""
+
+    def is_base(subset: frozenset[int]) -> bool:
+        if len(subset) != region.y:
+            return False
+        try:
+            path = path_from_north_set(region.x, region.y, frozenset(subset))
+        except PathError:
+            return False
+        return contains(region, path)
+
+    return is_base
+
+
+def uniform_is_base(rank: int) -> Callable[[frozenset[int]], bool]:
+    """The definition of a uniform matroid: every subset of its rank is a
+    base."""
+    return lambda subset: len(subset) == rank
 
 
 def leibniz(n: int):

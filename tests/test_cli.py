@@ -10,11 +10,12 @@ from pathlib import Path as FilePath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathlab import cli
+from pathlab import cli, verify
 from pathlab.cli import main
 from pathlab.enumeration import path_distribution
 from pathlab.paths import Path, Region
 from pathlab.verify import SUITES
+from pathlab.words import switch_inv
 
 from oracles import json_by_payload
 
@@ -245,6 +246,20 @@ def test_verify_all_at_max_3_matches_its_golden(capsys):
     code, out = run(capsys, "verify", "--suite", "all", "--max", "3")
     assert code == 0
     assert out == VERIFY_ALL_MAX_3
+
+
+def test_a_fault_inside_a_sweep_fails_its_suite_and_the_later_suites_run(capsys, monkeypatch):
+    """With ``switch`` reversed, ``switch_inv`` raises inside switch-words:
+    that suite prints FAIL with the exception, every other suite still
+    prints its line, and the run exits 1, with no traceback."""
+    monkeypatch.setattr(verify, "switch", switch_inv)
+    assert main(["verify", "--suite", "all", "--max", "3"]) == 1
+    captured = capsys.readouterr()
+    failed = "FAIL switch-words: raised ValueError: word has no unmatched b"
+    expected = [failed if " switch-words:" in line else line for line in VERIFY_ALL_MAX_3.splitlines()]
+    assert captured.out.splitlines() == expected
+    assert len(captured.err.splitlines()) == len(SUITES)
+    assert "Traceback" not in captured.err
 
 
 def test_verify_help_says_what_max_bounds_in_every_suite(capsys):

@@ -25,8 +25,12 @@ from pathlab.matroids import (
     uniform_oracle,
 )
 from pathlab.paths import Region, contact_stats, north_edges, parse_path
+from pathlab.applications import regions_touching_only_at_ends
+from pathlab.enumeration import _height_sequences
 from pathlab.polynomials import MultiPoly
 from pathlab.verify import all_regions
+
+from oracles import lpm_is_base, rectangle, uniform_is_base
 
 SMALL = Region.from_steps("NNENEE", "ENEENN")
 U12 = uniform_oracle(1, 2)
@@ -114,32 +118,30 @@ def test_tutte_matches_contact_distributions():
     assert rev == path_distribution(SMALL, ["r", "t"]).with_variable_order(("x", "y"))
 
 
-def strong_exchange(
-    oracle: BasesOracle, c_base: frozenset[int], d_base: frozenset[int], d: int
-) -> int:
+def strong_exchange(is_base, c_base: frozenset[int], d_base: frozenset[int], d: int) -> int:
     """First element c of C minus D with both C-c+d and D-d+c bases."""
     if d not in d_base or d in c_base:
         raise ValueError("d must lie in D and not in C")
     for c in sorted(c_base - d_base):
-        if oracle.is_base(c_base - {c} | {d}) and oracle.is_base(d_base - {d} | {c}):
+        if is_base(c_base - {c} | {d}) and is_base(d_base - {d} | {c}):
             return c
     raise ValueError("strong exchange failed: oracle is not a matroid")
 
 
 def test_strong_exchange():
-    assert strong_exchange(U12, frozenset({1}), frozenset({2}), 2) == 1
-    oracle = lpm_oracle(SMALL)
-    bases = oracle.bases()
+    assert strong_exchange(uniform_is_base(1), frozenset({1}), frozenset({2}), 2) == 1
+    is_base = lpm_is_base(SMALL)
+    bases = lpm_oracle(SMALL).bases()
     c_base, d_base = bases[0], bases[-1]
     for d in sorted(d_base - c_base):
-        c = strong_exchange(oracle, c_base, d_base, d)
-        assert oracle.is_base(c_base - {c} | {d})
-        assert oracle.is_base(d_base - {d} | {c})
+        c = strong_exchange(is_base, c_base, d_base, d)
+        assert is_base(c_base - {c} | {d})
+        assert is_base(d_base - {d} | {c})
 
 
 def test_strong_exchange_precondition():
     with pytest.raises(ValueError):
-        strong_exchange(U12, frozenset({1}), frozenset({1}), 1)
+        strong_exchange(uniform_is_base(1), frozenset({1}), frozenset({1}), 1)
 
 
 def test_phi_examples():
@@ -153,7 +155,7 @@ def test_phi_examples():
     oracle = lpm_oracle(r)
     base = north_index_set(parse_path("NENE"))
     image = phi_xy(oracle, natural_order(4), 2, 3, base)
-    if not oracle.is_base(base ^ {2, 3}):
+    if not lpm_is_base(r)(base ^ {2, 3}):
         assert image == base
 
 
@@ -197,14 +199,14 @@ def test_bltr_single_path():
         assert (ist.t, ist.r) == (st.b, st.l)
 
 
-def bases_by_filter(oracle):
-    """Every rank-sized subset that passes the oracle's base test, in
+def bases_by_filter(oracle, is_base):
+    """Every rank-sized subset that passes the definition's base test, in
     lexicographic order: the listing that does not enumerate paths."""
     ground = range(1, oracle.ground_size + 1)
-    return [frozenset(c) for c in combinations(ground, oracle.rank) if oracle.is_base(frozenset(c))]
+    return [frozenset(c) for c in combinations(ground, oracle.rank) if is_base(frozenset(c))]
 
 
-def is_active(oracle, base, order, e):
+def is_active(is_base, base, order, e):
     """The definition: no smaller element can be exchanged with e to give
     another base.  Covers e in the base (internal) and e outside
     (external)."""
@@ -213,58 +215,65 @@ def is_active(oracle, base, order, e):
         if (f in base) == inside:
             continue
         swapped = base - {e} | {f} if inside else base - {f} | {e}
-        if oracle.is_base(frozenset(swapped)):
+        if is_base(frozenset(swapped)):
             return False
     return True
 
 
-def active_by_definition(oracle, base, order):
-    ground = range(1, oracle.ground_size + 1)
-    active = frozenset(e for e in ground if is_active(oracle, base, order, e))
+def active_by_definition(is_base, base, order):
+    active = frozenset(e for e in order.ranking if is_active(is_base, base, order, e))
     return active & base, active - base
 
 
-def phi_by_definition(oracle, order, x, y, base):
+def phi_by_definition(is_base, order, x, y, base):
     """Crapo's map for x immediately before y, tested through ``is_base``."""
     swapped = base ^ {x, y}
-    if (x in base) == (y in base) or not oracle.is_base(swapped):
+    if (x in base) == (y in base) or not is_base(swapped):
         return base
     moved = order.transpose_adjacent(x, y)
-    if is_active(oracle, base, order, x) or is_active(oracle, base, moved, y):
+    if is_active(is_base, base, order, x) or is_active(is_base, base, moved, y):
         return swapped
     return base
 
 
-def tutte_by_activities(oracle, order):
+def tutte_by_activities(oracle, is_base, order):
     """The activity polynomial summed base by base through ``is_active``."""
     terms = Counter(
-        tuple(len(part) for part in active_by_definition(oracle, base, order))
-        for base in bases_by_filter(oracle)
+        tuple(len(part) for part in active_by_definition(is_base, base, order))
+        for base in bases_by_filter(oracle, is_base)
     )
     return MultiPoly(("x", "y"), dict(terms))
 
 
-def uniform_oracles(max_m):
-    return [uniform_oracle(r, m) for m in range(0, max_m + 1) for r in range(0, m + 1)]
+def lpm_cases(max_semi):
+    """Each region's path matroid with the definition of its bases."""
+    return [(lpm_oracle(region), lpm_is_base(region)) for region in all_regions(max_semi)]
+
+
+def uniform_cases(max_m):
+    return [(uniform_oracle(r, m), uniform_is_base(r)) for m in range(0, max_m + 1) for r in range(0, m + 1)]
+
+
+def small_cases():
+    return lpm_cases(5) + uniform_cases(5)
 
 
 def small_oracles():
-    return [lpm_oracle(region) for region in all_regions(5)] + uniform_oracles(5)
+    return [oracle for oracle, _ in small_cases()]
 
 
 def test_lpm_bases_match_subset_filter():
-    oracles = [lpm_oracle(region) for region in all_regions(6)] + uniform_oracles(5)
-    for oracle in oracles:
-        assert oracle.bases() == bases_by_filter(oracle), oracle
+    for oracle, is_base in lpm_cases(6) + uniform_cases(5):
+        assert oracle.bases() == bases_by_filter(oracle, is_base), oracle
 
 
 def test_tutte_poly_matches_per_base_activities():
-    for oracle in small_oracles():
+    for oracle, is_base in small_cases():
         m = oracle.ground_size
         shuffled = list(range(1, m + 1))
         random.Random(m).shuffle(shuffled)
         for order in (natural_order(m), reversed_order(m), LinearOrder(tuple(shuffled))):
-            assert tutte_poly(oracle, order) == tutte_by_activities(oracle, order), (oracle, order)
+            assert tutte_poly(oracle, order) == tutte_by_activities(oracle, is_base, order), (oracle, order)
 
 
 def test_mask_activities_match_the_definition():
@@ -272,7 +281,7 @@ def test_mask_activities_match_the_definition():
     definition tests every exchange through ``is_base``.  Every order for
     m <= 4, else the natural, reversed and one shuffled order."""
     cases = 0
-    for oracle in small_oracles():
+    for oracle, is_base in small_cases():
         m = oracle.ground_size
         if m <= 4:
             orders = [LinearOrder(p) for p in permutations(range(1, m + 1))]
@@ -282,19 +291,20 @@ def test_mask_activities_match_the_definition():
             orders = [natural_order(m), reversed_order(m), LinearOrder(tuple(shuffled))]
         for order in orders:
             for base in oracle.bases():
-                expected = active_by_definition(oracle, base, order)
+                expected = active_by_definition(is_base, base, order)
                 assert active_elements(oracle, base, order) == expected, (oracle, base, order)
                 for x, y in zip(order.ranking, order.ranking[1:]):
-                    expected = phi_by_definition(oracle, order, x, y, base)
+                    expected = phi_by_definition(is_base, order, x, y, base)
                     assert phi_xy(oracle, order, x, y, base) == expected, (oracle, base, order, x)
                     cases += 1
     assert cases == 13604
 
 
 def test_non_bases_are_rejected_not_mapped():
-    oracle = lpm_oracle(Region.from_steps("NNEE", "ENEN"))
+    region = Region.from_steps("NNEE", "ENEN")
+    oracle = lpm_oracle(region)
     non_base = frozenset({3, 4})
-    assert not oracle.is_base(non_base)
+    assert not lpm_is_base(region)(non_base)
     with pytest.raises(ValueError, match="not a base"):
         phi_xy(oracle, natural_order(4), 2, 3, non_base)
     with pytest.raises(ValueError, match="not a base"):
@@ -308,14 +318,14 @@ def test_exactly_the_non_bases_are_rejected():
     ``active_elements`` answers exactly when ``is_base`` holds.  With 0 or
     m + 1 added, which the uniform ``is_base`` does not test, it refuses."""
     cases = 0
-    for oracle in small_oracles():
+    for oracle, is_base in small_cases():
         m = oracle.ground_size
         order = natural_order(m)
         for size in range(m + 1):
             for subset in combinations(range(1, m + 1), size):
                 for extra in ((), (0,), (m + 1,)):
                     candidate = frozenset(subset + extra)
-                    if not extra and oracle.is_base(candidate):
+                    if not extra and is_base(candidate):
                         active_elements(oracle, candidate, order)
                     else:
                         with pytest.raises(ValueError, match="not a base"):
@@ -330,9 +340,30 @@ def encode(base):
 
 def test_base_bits_list_the_bases():
     """``base_bits`` holds the bases the subset filter finds, in its order."""
-    oracles = [lpm_oracle(region) for region in all_regions(7)] + uniform_oracles(5)
-    for oracle in oracles:
-        assert oracle.base_bits == tuple(encode(b) for b in bases_by_filter(oracle)), oracle
+    for oracle, is_base in lpm_cases(7) + uniform_cases(5):
+        assert oracle.base_bits == tuple(encode(b) for b in bases_by_filter(oracle, is_base)), oracle
+
+
+def base_bits_by_paths(region):
+    """The oracle for ``lpm_oracle``'s column transfer: each path's north
+    steps encoded one at a time, the full mask less its east positions
+    i + h_i, in reversed order of the height sequences."""
+    full = (1 << region.x + region.y + 1) - 2
+    bits = [
+        full - sum(1 << i + h for i, h in enumerate(heights, 1))
+        for heights in _height_sequences(region.b_heights, region.t_heights)
+    ]
+    return tuple(reversed(bits))
+
+
+def test_column_transfer_lists_the_bases_of_each_path():
+    """Every region with x+y <= 7, x = 0 and y = 0 included, and every
+    rectangle with x * y <= 36."""
+    rectangles = [rectangle(x, y) for x in range(1, 37) for y in range(1, 36 // x + 1)]
+    regions = list(all_regions(7))
+    assert {0} <= {r.x for r in regions} and {0} <= {r.y for r in regions}
+    for region in regions + rectangles:
+        assert lpm_oracle(region).base_bits == base_bits_by_paths(region), region
 
 
 def exchange_rows(encoded, m):
@@ -374,8 +405,7 @@ def test_exchange_mask_bits_match_is_base():
     exchanged set, rows in the order of ``base_bits``.  The uniform oracles
     take every rank from 0 to m, so ranks 0, 1, m - 1 and m, where a base
     has no or one element on a side, are all covered."""
-    oracles = [lpm_oracle(region) for region in all_regions(6)] + uniform_oracles(6)
-    for oracle in oracles:
+    for oracle, is_base in lpm_cases(6) + uniform_cases(6):
         m = oracle.ground_size
         rows = exchange_rows(oracle.base_bits, m)
         buckets = oracle.buckets
@@ -389,7 +419,7 @@ def test_exchange_mask_bits_match_is_base():
                 assert bucket >> e & 1, (oracle, base, e)
                 for f in ground:
                     exchanged = base ^ {e, f}
-                    expected = (e in base) != (f in base) and oracle.is_base(exchanged)
+                    expected = (e in base) != (f in base) and is_base(exchanged)
                     assert bool(row[e] >> f & 1) == expected, (oracle, base, e, f)
                     assert (f != e and bool(bucket >> f & 1)) == expected, (oracle, base, e, f)
 
@@ -406,20 +436,48 @@ def test_activity_terms_match_the_row_oracle():
     assert cases == 17818
 
 
-def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
-    calls = []
-    build = matroids.exchange_buckets
+def test_activity_terms_match_the_row_oracle_at_ground_size_10():
+    """Every 10th region of the n = 5 conjecture family (m = 10), under the
+    natural order, the reversed order and three seeded random orders."""
+    regions = regions_touching_only_at_ends(5)[::10]
+    assert len(regions) == 177
+    rng = random.Random(10)
+    for region in regions:
+        oracle = lpm_oracle(region)
+        rows = exchange_rows(oracle.base_bits, 10)
+        rankings = [tuple(range(1, 11)), tuple(range(10, 0, -1))]
+        rankings += [tuple(rng.sample(range(1, 11), 10)) for _ in range(3)]
+        for ranking in rankings:
+            assert activity_terms(oracle, ranking) == activity_terms_by_rows(rows, ranking), (region, ranking)
 
-    def counted(encoded, m):
-        calls.append(m)
-        return build(encoded, m)
+
+def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
+    """The buckets and their split are each built on the first question to
+    an oracle, and shared by every order and every later question."""
+    calls = []
+    build_buckets = matroids.exchange_buckets
+    split = BasesOracle.__dict__["split"]
+    build_split = split.func
+
+    def counted_buckets(encoded, m):
+        calls.append("buckets")
+        return build_buckets(encoded, m)
+
+    def counted_split(oracle):
+        calls.append("split")
+        return build_split(oracle)
 
     shuffled = list(range(1, 7))
     random.Random(6).shuffle(shuffled)
     orders = (natural_order(6), reversed_order(6), LinearOrder(tuple(shuffled)))
-    monkeypatch.setattr(matroids, "exchange_buckets", counted)
+    monkeypatch.setattr(matroids, "exchange_buckets", counted_buckets)
+    monkeypatch.setattr(split, "func", counted_split)
     oracle = lpm_oracle(SMALL)
     polys = [tutte_poly(oracle, order) for order in orders]
-    assert calls == [6]
+    base = oracle.bases()[0]
+    active_elements(oracle, base, orders[2])
+    reorder_bijection(oracle, orders[0], orders[1], base)
+    assert calls == ["split", "buckets"]
     for order, poly in zip(orders, polys):
         assert poly == tutte_poly(lpm_oracle(SMALL), order)
+    assert calls == ["split", "buckets"] * 4
