@@ -2,10 +2,11 @@
 generating polynomial, and the order-change bijection on bases.
 
 One oracle type, ``BasesOracle``, holds a matroid's bases as bit masks,
-listed once when it is built; lattice path matroids (bases = north-step
-index sets of region paths) and uniform matroids are the two built here.
-Every activity question reads its exchange buckets ``oracle.buckets``; the
-activity polynomial also reads their order-free part, ``oracle.split``.
+listed once: a lattice path matroid's (north-step index sets of region
+paths) by a column transfer, a uniform matroid's from its subsets.  Every
+activity question reads the exchange buckets ``oracle.buckets``; the
+activity polynomial reads their order-free part ``oracle.split``, then
+takes one step per order for each bucket of two or more elements.
 """
 
 from __future__ import annotations
@@ -106,21 +107,21 @@ def lpm_oracle(region: Region) -> BasesOracle:
     """Bases are the y-subsets of [x+y] that are the north-step positions of
     some path in the region.  ``base_bits`` takes each path's complement of
     its east positions i + h_i (see ``paths``) by a column transfer, right
-    to left: ``suffix[h]`` lists the masks of the columns to the right for
-    the paths whose next column is at height >= h (none above t_c), highest
-    first.  That is the lexicographic order of north-step sets: where two
+    to left, highest heights first: ``masks[:ends[h]]`` lists the masks of
+    the columns to the right for the paths whose next column is at height
+    >= h.  That is the lexicographic order of north-step sets: where two
     paths first differ, the higher one takes a north step."""
     x, y = region.x, region.y
-    suffix = [[(1 << x + y + 1) - 2]] * (y + 1)
+    masks, ends = [(1 << x + y + 1) - 2], [1] * (y + 1)
     for c in range(x, 0, -1):
-        acc: list[int] = []
-        column = []
+        column: list[int] = []
+        column_ends = []
         for h in range(region.t_heights[c - 1], region.b_heights[c - 1] - 1, -1):
             east = 1 << c + h
-            acc = acc + [bits ^ east for bits in suffix[h]]
-            column.append(acc)
-        suffix = [acc] * region.b_heights[c - 1] + column[::-1]
-    return BasesOracle(x + y, y, tuple(suffix[0]))
+            column += [bits ^ east for bits in masks[: ends[h]]]
+            column_ends.append(len(column))
+        masks, ends = column, [len(column)] * region.b_heights[c - 1] + column_ends[::-1]
+    return BasesOracle(x + y, y, tuple(masks))
 
 
 def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
@@ -129,9 +130,8 @@ def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
 
 
 def _bits(oracle: BasesOracle, base: frozenset[int]) -> int:
-    """The base's bit mask, or ValueError for a non-base: the bases are the
-    keys of ``oracle.split``'s scores.  Elements outside 1..m are refused
-    before any is shifted into a mask."""
+    """The base's bit mask, or ValueError for a non-base: an element outside
+    1..m (refused before any is shifted), or a mask no score is kept for."""
     ground = range(1, oracle.ground_size + 1)
     if all(e in ground for e in base):
         bits = sum(1 << e for e in base)
