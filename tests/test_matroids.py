@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 import pytest
 
 from pathlab import matroids
-from pathlab.enumeration import enumerate_paths, path_distribution
+from pathlab.applications import regions_touching_only_at_ends
+from pathlab.enumeration import _height_sequences, enumerate_paths, path_distribution
 from pathlab.matroids import (
     BasesOracle,
     LinearOrder,
@@ -25,8 +26,6 @@ from pathlab.matroids import (
     uniform_oracle,
 )
 from pathlab.paths import Region, contact_stats, north_edges, parse_path
-from pathlab.applications import regions_touching_only_at_ends
-from pathlab.enumeration import _height_sequences
 from pathlab.polynomials import MultiPoly
 from pathlab.verify import all_regions
 
@@ -251,7 +250,10 @@ def lpm_cases(max_semi):
 
 
 def uniform_cases(max_m):
-    return [(uniform_oracle(r, m), uniform_is_base(r)) for m in range(0, max_m + 1) for r in range(0, m + 1)]
+    """U(r, m) for every 0 <= r <= m <= max_m, with its definition."""
+    return [
+        (uniform_oracle(r, m), uniform_is_base(r)) for m in range(0, max_m + 1) for r in range(0, m + 1)
+    ]
 
 
 def small_cases():
