@@ -260,10 +260,6 @@ def small_cases():
     return lpm_cases(5) + uniform_cases(5)
 
 
-def small_oracles():
-    return [oracle for oracle, _ in small_cases()]
-
-
 def test_lpm_bases_match_subset_filter():
     for oracle, is_base in lpm_cases(6) + uniform_cases(5):
         assert oracle.bases() == bases_by_filter(oracle, is_base), oracle
@@ -429,7 +425,7 @@ def test_exchange_mask_bits_match_is_base():
 def test_activity_terms_match_the_row_oracle():
     """Every order of every small oracle, m <= 5."""
     cases = 0
-    for oracle in small_oracles():
+    for oracle, _ in small_cases():
         m = oracle.ground_size
         rows = exchange_rows(oracle.base_bits, m)
         for ranking in permutations(range(1, m + 1)):
