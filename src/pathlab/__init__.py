@@ -18,7 +18,6 @@ from .polynomials import MultiPoly
 from .words import factorize, switch, switch_inv
 from .swaps import contact_word, swap, swap_inv, swapall
 from .enumeration import (
-    distribution,
     enumerate_paths,
     enumerate_tuples,
     lgv_count,

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from operator import itemgetter
+from collections import Counter
 
 from .applications import (
     IJReport,
@@ -33,7 +33,6 @@ from .applications import (
 )
 from .enumeration import (
     CONTACT_STATS,
-    distribution,
     enumerate_paths,
     enumerate_tuples,
     path_distribution,
@@ -57,6 +56,7 @@ from .paths import (
     noncontact_heights,
     parse_path,
 )
+from .polynomials import MultiPoly
 from .swaps import swapall
 from .tableaux import Tableau, YoungShape, flagged_schur, is_flagged_ssyt, psi, psi_inv, tab_of_tuple
 from .triangulations import (
@@ -66,7 +66,7 @@ from .triangulations import (
     nicolas_check,
 )
 from .tuples import PathTuple, h_stats, u_stats, v_stats
-from .verify import SUITES, VerifyResult
+from .verify import SUITES, run as run_suite
 from .words import factorize, switch, switch_inv
 
 
@@ -308,8 +308,8 @@ def cmd_ktuple_dist(args) -> int:
         stat, first, size = u_stats, 1, region.y - 1
     else:
         stat, first, size = (h_stats if args.stats == "h" else v_stats), 0, k + 1
-    stats = [(f"x{first + i}", itemgetter(i)) for i in range(size)]
-    poly = distribution(map(stat, enumerate_tuples(region, k)), stats)
+    names = [f"x{first + i}" for i in range(size)]
+    poly = MultiPoly(names, Counter(map(stat, enumerate_tuples(region, k))))
     print(poly.to_json() if args.format == "json" else poly)
     return 0
 
@@ -421,14 +421,6 @@ _VERIFY_EPILOG = "--max M (at least 1, default 6) bounds each sweep as follows:\
 )
 
 
-def _run_suite(name: str, max_semi: int) -> VerifyResult:
-    """A suite's result; an exception from the code under test fails it."""
-    try:
-        return SUITES[name][1](max_semi)
-    except Exception as exc:
-        return VerifyResult(name, False, f"raised {type(exc).__name__}: {exc}")
-
-
 def cmd_verify(args) -> int:
     if args.list:
         for name in sorted(SUITES):
@@ -442,7 +434,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown suite {name!r}; use --list")
     failed = False
     for name in names:
-        result = _timed(name, lambda: _run_suite(name, args.max))
+        result = _timed(name, lambda: run_suite(name, args.max))
         print(result.line(), flush=True)
         failed = failed or not result.ok
     return 1 if failed else 0

@@ -2,13 +2,12 @@
 polynomials, and a determinant shortcut for tuple counts.
 
 Contact distributions come from a transfer matrix over the columns of the
-region and list no path; ``distribution`` folds any other statistic over a
-stream of objects."""
+region and list no path."""
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .paths import Path, Region, vertices
 from .polynomials import MultiPoly, int_determinant
@@ -105,21 +104,6 @@ def enumerate_tuples(region: Region, k: int) -> Iterator[PathTuple]:
             yield from rec_tuple(level + 1, heights, acc + (Path._of(heights, y),))
 
     yield from rec_tuple(0, region.t_heights, ())
-
-
-def distribution(
-    objects: Iterable,
-    stats: list[tuple[str, Callable]],
-) -> MultiPoly:
-    """Sum, over the stream, of the monomial whose exponents are the values
-    of the named statistics."""
-    names = tuple(name for name, _ in stats)
-    funcs = [f for _, f in stats]
-    terms: dict[tuple[int, ...], int] = {}
-    for obj in objects:
-        exp = tuple(f(obj) for f in funcs)
-        terms[exp] = terms.get(exp, 0) + 1
-    return MultiPoly(names, terms)
 
 
 CONTACT_STATS = ("t", "b", "l", "r")

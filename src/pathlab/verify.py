@@ -1,9 +1,10 @@
 """Named verification sweeps over desk-scale instances.
 
 Each sweep replays one of the library's structural claims exhaustively over
-a bounded family and reports the first counterexample, if any.  The CLI
-exposes them under the ``verify`` verb; the test suite drives the same
-functions at pinned bounds.
+a bounded family.  It returns what it covered, or raises ``Counterexample``
+at the first instance that breaks the claim.  ``run`` turns a suite's
+outcome into its result line; the ``verify`` verb and the tests both go
+through it.
 """
 
 from __future__ import annotations
@@ -85,6 +86,17 @@ class VerifyResult:
         return f"{status:4} {self.name}: {self.detail}{extra}"
 
 
+class Counterexample(Exception):
+    """A sweep's finding: what failed and, when one instance shows it, where.
+    Not an ``AssertionError``, so it never reads as the library's own
+    ``InvariantError``."""
+
+    def __init__(self, what: str, where: str | None = None):
+        super().__init__(what)
+        self.what = what
+        self.where = where
+
+
 def _symmetric(dist: dict[tuple[int, ...], int]) -> bool:
     """Whether every permutation of each exponent vector has its count.
     Adjacent transpositions generate the symmetric group, so it suffices
@@ -100,10 +112,9 @@ def _symmetric(dist: dict[tuple[int, ...], int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_switch_words(max_len: int = 14) -> VerifyResult:
+def check_switch_words(max_len: int) -> str:
     """Unmatched-letter shape, class bijectivity, and the neighbourhood of
     the flipped letter, over all words up to the length bound."""
-    name = "switch-words"
     classes: dict[tuple[int, int, int, int], list[str]] = {}
     total = 0
     for length in range(0, max_len + 1):
@@ -111,7 +122,7 @@ def check_switch_words(max_len: int = 14) -> VerifyResult:
             word = "".join("t" if bits >> i & 1 else "b" for i in range(length))
             bs, ts = factorize(word)
             if bs and ts and max(bs) > min(ts):
-                return VerifyResult(name, False, "unmatched letters out of order", word)
+                raise Counterexample("unmatched letters out of order", word)
             e = word.count("t")
             f = word.count("b")
             u = len(bs) + len(ts)
@@ -120,29 +131,26 @@ def check_switch_words(max_len: int = 14) -> VerifyResult:
             if ts:
                 flipped = switch(word)
                 if switch_inv(flipped) != word:
-                    return VerifyResult(name, False, "switch not inverted", word)
+                    raise Counterexample("switch not inverted", word)
                 i = next(k for k in range(length) if word[k] != flipped[k])
                 if i > 0 and not (word[i - 1] == flipped[i - 1] == "b"):
-                    return VerifyResult(name, False, "letter before flip not b", word)
+                    raise Counterexample("letter before flip not b", word)
                 if i < length - 1 and not (word[i + 1] == flipped[i + 1] == "t"):
-                    return VerifyResult(name, False, "letter after flip not t", word)
+                    raise Counterexample("letter after flip not t", word)
     for (length, e, f, u), members in classes.items():
         if e == 0 or u < max(e - f, f - e + 2):
             continue
         image = {switch(w) for w in members}
         target = set(classes.get((length, e - 1, f + 1, u), []))
         if image != target:
-            return VerifyResult(
-                name, False, f"class ({e},{f},{u}) not mapped bijectively", None
-            )
-    return VerifyResult(name, True, f"{total} words checked up to length {max_len}")
+            raise Counterexample(f"class ({e},{f},{u}) not mapped bijectively")
+    return f"{total} words checked up to length {max_len}"
 
 
-def check_contact_involution(max_semi: int = 8) -> VerifyResult:
+def check_contact_involution(max_semi: int) -> str:
     """The contact-exchanging involution on every region and every path with
     prescribed descents: statistics swap, class data preserved, involutive,
     and each descent/heights class has at most one path of each extreme."""
-    name = "contact-involution"
     regions = paths = 0
     for region in all_regions(max_semi):
         regions += 1
@@ -153,54 +161,52 @@ def check_contact_involution(max_semi: int = 8) -> VerifyResult:
             image = swapall(region, p)
             ist = contact_stats(region, image)
             if (ist.t, ist.b) != (st.b, st.t):
-                return VerifyResult(name, False, "contact counts not exchanged", f"{region} {p}")
+                raise Counterexample("contact counts not exchanged", f"{region} {p}")
             descents = descent_set(p)
             if descent_set(image) != descents:
-                return VerifyResult(name, False, "descent set changed", f"{region} {p}")
+                raise Counterexample("descent set changed", f"{region} {p}")
             free = noncontact_heights(region, p)
             if noncontact_heights(region, image) != free:
-                return VerifyResult(name, False, "free heights changed", f"{region} {p}")
+                raise Counterexample("free heights changed", f"{region} {p}")
             if swapall(region, image) != p:
-                return VerifyResult(name, False, "not an involution", f"{region} {p}")
+                raise Counterexample("not an involution", f"{region} {p}")
             class_dist[descents, free][st.t, st.b] += 1
         for key, dist in class_dist.items():
             if dist[1, 0] > 1 or dist[0, 1] > 1:
-                return VerifyResult(name, False, "extreme path not unique", f"{region} {key}")
+                raise Counterexample("extreme path not unique", f"{region} {key}")
             if not _symmetric(dist):
-                return VerifyResult(name, False, "class distribution asymmetric", f"{region} {key}")
-    return VerifyResult(name, True, f"{paths} paths over {regions} regions (x+y <= {max_semi})")
+                raise Counterexample("class distribution asymmetric", f"{region} {key}")
+    return f"{paths} paths over {regions} regions (x+y <= {max_semi})"
 
 
-def check_tuple_symmetry(max_semi: int = 6) -> VerifyResult:
+def check_tuple_symmetry(max_semi: int) -> str:
     """Coincidence-vector symmetry on every unused-edge class, plus the
     nesting determinant against brute-force counts, for k <= 3."""
-    name = "tuple-symmetry"
     checked = 0
     for region in all_regions(max_semi):
         for k in (1, 2, 3):
             tuples = list(enumerate_tuples(region, k))
             if lgv_count(region, k) != len(tuples):
-                return VerifyResult(name, False, "determinant disagrees", f"{region} k={k}")
+                raise Counterexample("determinant disagrees", f"{region} k={k}")
             by_u = defaultdict(Counter)
             for t in tuples:
                 by_u[u_stats(t)][h_stats(t)] += 1
             checked += len(tuples)
             if not all(_symmetric(dist) for dist in by_u.values()):
-                return VerifyResult(name, False, "h-distribution asymmetric", f"{region}")
-    return VerifyResult(name, True, f"{checked} tuples (x+y <= {max_semi}, k <= 3)")
+                raise Counterexample("h-distribution asymmetric", f"{region}")
+    return f"{checked} tuples (x+y <= {max_semi}, k <= 3)"
 
 
-def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
+def check_tutte_orders(max_semi: int) -> str:
     """Activity polynomial identical under every ground order; natural and
     reversed orders match the contact-pair distributions."""
-    name = "tutte-orders"
     regions = 0
     for region in all_regions(max_semi):
         m = region.x + region.y
         oracle = lpm_oracle(region)
         terms = activity_terms(oracle, tuple(range(1, m + 1)))
         if any(activity_terms(oracle, order) != terms for order in permutations(range(1, m + 1))):
-            return VerifyResult(name, False, "order changed the polynomial", f"{region}")
+            raise Counterexample("order changed the polynomial", f"{region}")
         regions += 1
 
         # Every order, the reversed one included, gave the natural order's
@@ -209,17 +215,16 @@ def check_tutte_orders(max_semi: int = 6) -> VerifyResult:
         lb = path_distribution(region, ["l", "b"])
         rt = path_distribution(region, ["r", "t"])
         if poly != lb.with_variable_order(("x", "y")):
-            return VerifyResult(name, False, "natural order mismatch", f"{region}")
+            raise Counterexample("natural order mismatch", f"{region}")
         if poly != rt.with_variable_order(("x", "y")):
-            return VerifyResult(name, False, "reversed order mismatch", f"{region}")
-    return VerifyResult(name, True, f"{regions} regions, all ground orders (x+y <= {max_semi})")
+            raise Counterexample("reversed order mismatch", f"{region}")
+    return f"{regions} regions, all ground orders (x+y <= {max_semi})"
 
 
-def check_activity_reorder(max_semi: int = 6) -> VerifyResult:
+def check_activity_reorder(max_semi: int) -> str:
     """The adjacent-transposition bijection preserves activity pairs and
     composes to the identity with its mirror, on path matroids and uniform
     matroids of ground size at most 5."""
-    name = "activity-reorder"
     oracles = []
     for region in all_regions(max_semi):
         oracles.append((f"{region}", lpm_oracle(region)))
@@ -242,21 +247,20 @@ def check_activity_reorder(max_semi: int = 6) -> VerifyResult:
                 for base in bases:
                     image = phi_xy(oracle, order, x, y, base)
                     if phi_xy(oracle, order_prime, y, x, image) != base:
-                        return VerifyResult(name, False, "mirror composition not identity", f"{label}")
+                        raise Counterexample("mirror composition not identity", f"{label}")
                     if activities(oracle, base, order) != activities(oracle, image, order_prime):
-                        return VerifyResult(name, False, "activity pair changed", f"{label}")
+                        raise Counterexample("activity pair changed", f"{label}")
                     checked += 1
                 images = {phi_xy(oracle, order, x, y, b) for b in bases}
                 if len(images) != len(bases):
-                    return VerifyResult(name, False, "not a bijection on bases", f"{label}")
-    return VerifyResult(name, True, f"{checked} base transpositions checked")
+                    raise Counterexample("not a bijection on bases", f"{label}")
+    return f"{checked} base transpositions checked"
 
 
-def check_activity_contacts(max_semi: int = 5) -> VerifyResult:
+def check_activity_contacts(max_semi: int) -> str:
     """With the natural order, internally active elements are exactly the
     north steps shared with the top boundary and externally active elements
     exactly the east steps shared with the bottom boundary."""
-    name = "activity-contacts"
     checked = 0
     for region in all_regions(max_semi):
         oracle = lpm_oracle(region)
@@ -265,17 +269,16 @@ def check_activity_contacts(max_semi: int = 5) -> VerifyResult:
             base = north_index_set(p)
             internal, external = active_elements(oracle, base, order)
             if internal != left_contact_positions(region, p):
-                return VerifyResult(name, False, "internal actives differ", f"{region} {p}")
+                raise Counterexample("internal actives differ", f"{region} {p}")
             if external != bottom_contact_positions(region, p):
-                return VerifyResult(name, False, "external actives differ", f"{region} {p}")
+                raise Counterexample("external actives differ", f"{region} {p}")
             checked += 1
-    return VerifyResult(name, True, f"{checked} paths checked (x+y <= {max_semi})")
+    return f"{checked} paths checked (x+y <= {max_semi})"
 
 
-def check_bltr_tuples(max_semi: int = 5) -> VerifyResult:
+def check_bltr_tuples(max_semi: int) -> str:
     """The bottom/left to top/right sweep on tuples: statistics transfer per
     instance and the two joint distributions agree, for k <= 2."""
-    name = "bltr-tuples"
     checked = 0
     for region in all_regions(max_semi):
         for k in (1, 2):
@@ -286,18 +289,17 @@ def check_bltr_tuples(max_semi: int = 5) -> VerifyResult:
                 source[h[-1], v[0]] += 1
                 image = bltr_tuple_bijection(t)
                 if (h_stats(image)[0], v_stats(image)[-1]) != (h[-1], v[0]):
-                    return VerifyResult(name, False, "statistics not transferred", f"{region} k={k}")
+                    raise Counterexample("statistics not transferred", f"{region} k={k}")
                 target[h[0], v[-1]] += 1
                 checked += 1
             if source != target:
-                return VerifyResult(name, False, "distributions differ", f"{region} k={k}")
-    return VerifyResult(name, True, f"{checked} tuples checked (x+y <= {max_semi}, k <= 2)")
+                raise Counterexample("distributions differ", f"{region} k={k}")
+    return f"{checked} tuples checked (x+y <= {max_semi}, k <= 2)"
 
 
-def check_tableau_bijection(box: int = 4) -> VerifyResult:
+def check_tableau_bijection(box: int) -> str:
     """The repaired filling is a weight-true bijection onto flagged
     semistandard tableaux for every shape in a square box and k <= 3."""
-    name = "tableau-bijection"
     checked = 0
     for shape in shapes_in_box(box):
         region = region_of_shape(shape)
@@ -307,15 +309,15 @@ def check_tableau_bijection(box: int = 4) -> VerifyResult:
             for t in tuples:
                 tab = psi(t)
                 if weight(tab) != expected_weight(t):
-                    return VerifyResult(name, False, "weight mismatch", f"{shape} k={k}")
+                    raise Counterexample("weight mismatch", f"{shape} k={k}")
                 if psi_inv(tab) != t:
-                    return VerifyResult(name, False, "round trip failed", f"{shape} k={k}")
+                    raise Counterexample("round trip failed", f"{shape} k={k}")
                 images.add(tab)
                 checked += 1
             ssyt = set(enumerate_flagged_ssyt(shape, k))
             if images != ssyt:
-                return VerifyResult(name, False, "image is not all flagged tableaux", f"{shape} k={k}")
-    return VerifyResult(name, True, f"{checked} tuples over shapes in a {box}x{box} box, k <= 3")
+                raise Counterexample("image is not all flagged tableaux", f"{shape} k={k}")
+    return f"{checked} tuples over shapes in a {box}x{box} box, k <= 3"
 
 
 def shapes_in_box(box: int) -> list[YoungShape]:
@@ -327,10 +329,9 @@ def shapes_in_box(box: int) -> list[YoungShape]:
     return [YoungShape(p) for p in parts if p]
 
 
-def check_fan_determinants(max_n: int = 9) -> VerifyResult:
+def check_fan_determinants(max_n: int) -> str:
     """Catalan determinant, nesting determinant, and brute-force tuple
     counts agree on the staircase regions."""
-    name = "fan-determinants"
     cases = [(n, k) for k in (1, 2) for n in range(2 * k + 1, max_n + 1)]
     cases += [(n, 3) for n in range(7, min(max_n, 8) + 1)]
     for n, k in cases:
@@ -339,8 +340,8 @@ def check_fan_determinants(max_n: int = 9) -> VerifyResult:
         brute = sum(1 for _ in enumerate_tuples(region, k))
         lgv = lgv_count(region, k)
         if not det == brute == lgv:
-            return VerifyResult(name, False, f"{det} vs {brute} vs {lgv}", f"n={n} k={k}")
-    return VerifyResult(name, True, f"{len(cases)} staircase cases up to n = {max_n}")
+            raise Counterexample(f"{det} vs {brute} vs {lgv}", f"n={n} k={k}")
+    return f"{len(cases)} staircase cases up to n = {max_n}"
 
 
 # the (n, k) polygons of the two triangulation sweeps
@@ -348,29 +349,26 @@ _TRIANGULATION_CASES = ((5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2))
 _NICOLAS_CASES = ((5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (7, 2), (8, 2))
 
 
-def check_triangulation_counts() -> VerifyResult:
-    name = "triangulation-counts"
+def check_triangulation_counts() -> str:
     for n, k in _TRIANGULATION_CASES:
         count = sum(1 for _ in enumerate_k_triangulations(n, k))
         det = catalan_det(n, k)
         if count != det:
-            return VerifyResult(name, False, f"{count} != {det}", f"n={n} k={k}")
-    return VerifyResult(name, True, f"{len(_TRIANGULATION_CASES)} polygon cases")
+            raise Counterexample(f"{count} != {det}", f"n={n} k={k}")
+    return f"{len(_TRIANGULATION_CASES)} polygon cases"
 
 
-def check_nicolas() -> VerifyResult:
-    name = "triangulation-degrees"
+def check_nicolas() -> str:
     for n, k in _NICOLAS_CASES:
         report = nicolas_check(n, k)
         if not report.holds:
-            return VerifyResult(name, False, "degree distributions differ", f"n={n} k={k}")
-    return VerifyResult(name, True, f"{len(_NICOLAS_CASES)} (n, k) cases")
+            raise Counterexample("degree distributions differ", f"n={n} k={k}")
+    return f"{len(_NICOLAS_CASES)} (n, k) cases"
 
 
-def check_permutation_bridge(max_n: int = 7) -> VerifyResult:
+def check_permutation_bridge(max_n: int) -> str:
     """The staircase bijection matches contacts with right-to-left extremes
     and descents with the dashed-pattern positions, exhaustively."""
-    name = "permutation-bridge"
     checked = 0
     for n in range(1, max_n + 1):
         region = dyck_region(n)
@@ -379,28 +377,27 @@ def check_permutation_bridge(max_n: int = 7) -> VerifyResult:
         for p in enumerate_paths(region, south_allowed=True):
             perm = perm_of_path(p)
             if path_of_perm(perm) != p:
-                return VerifyResult(name, False, "round trip failed", f"n={n} {p}")
+                raise Counterexample("round trip failed", f"n={n} {p}")
             rl_min, rl_max, positions = perm_stats(perm)
             st = contact_stats(region, p)
             if (rl_min, rl_max) != (st.t, st.b):
-                return VerifyResult(name, False, "extremes do not match contacts", f"{perm}")
+                raise Counterexample("extremes do not match contacts", f"{perm}")
             if positions != descent_set(p):
-                return VerifyResult(name, False, "pattern positions differ", f"{perm}")
+                raise Counterexample("pattern positions differ", f"{perm}")
             by_positions[positions][rl_min, rl_max] += 1
             seen.add(perm)
             checked += 1
         if len(seen) != factorial(n):
-            return VerifyResult(name, False, "not onto all permutations", f"n={n}")
+            raise Counterexample("not onto all permutations", f"n={n}")
         if not all(_symmetric(dist) for dist in by_positions.values()):
-            return VerifyResult(name, False, "class extreme distribution asymmetric", f"n={n}")
-    return VerifyResult(name, True, f"{checked} paths across n <= {max_n}")
+            raise Counterexample("class extreme distribution asymmetric", f"n={n}")
+    return f"{checked} paths across n <= {max_n}"
 
 
-def check_closed_formulas(max_total: int = 7) -> VerifyResult:
+def check_closed_formulas(max_total: int) -> str:
     """Closed counting formulas against the (t, b) contact distribution:
     its coefficient sum is the path count, and its coefficients are the
     contact-refined counts."""
-    name = "closed-formulas"
     families = [
         (1, "n={} r={} s={}", (n, r, s))
         for n in range(max_total + 1)
@@ -412,60 +409,57 @@ def check_closed_formulas(max_total: int = 7) -> VerifyResult:
         where = label.format(*params)
         dist = path_distribution(region, ["t", "b"])
         if andre_barbier_count(case, params) != dist.coefficient_sum():
-            return VerifyResult(name, False, f"case {case} count", where)
+            raise Counterexample(f"case {case} count", where)
         if params[1] > 0:  # the contact formulas need a trailing north run, r > 0
             counts = dist.terms
             for c in range(region.x + 2):
                 for i in range(c + 1):
                     if contact_formula_count(case, params, i, c - i) != counts.get((i, c - i), 0):
-                        return VerifyResult(name, False, f"case {case} contacts ({i},{c - i})", where)
-    return VerifyResult(name, True, f"families swept to total {max_total}")
+                        raise Counterexample(f"case {case} contacts ({i},{c - i})", where)
+    return f"families swept to total {max_total}"
 
 
-def check_brak_essam(max_x: int = 8) -> VerifyResult:
+def check_brak_essam(max_x: int) -> str:
     """Return counts of configurations match the truncated-family counts
     for every number of axis returns, for k <= 2."""
-    name = "watermelons"
     cases = 0
     for k in (1, 2):
         for x in range(1, max_x + 1):
             for y in range(x % 2, x + 1, 2):
                 lhs, rhs = brak_essam_counts(x, y, k)
                 if lhs != rhs:
-                    return VerifyResult(name, False, f"{lhs} vs {rhs}", f"x={x} y={y} k={k}")
+                    raise Counterexample(f"{lhs} vs {rhs}", f"x={x} y={y} k={k}")
                 cases += 1
-    return VerifyResult(name, True, f"{cases} (x, y, k) cases with x <= {max_x}")
+    return f"{cases} (x, y, k) cases with x <= {max_x}"
 
 
-def check_conjectures(max_n: int = 4) -> VerifyResult:
-    name = "conjectures"
+def check_conjectures(max_n: int) -> str:
     for n in range(1, max_n + 1):
         r1 = conjecture_52_check(n)
         if not r1.holds:
-            return VerifyResult(name, False, "distribution equivalence conjecture", r1.counterexample)
+            raise Counterexample("distribution equivalence conjecture", r1.counterexample)
         r2 = conjecture_53_check(n)
         if not r2.holds:
-            return VerifyResult(name, False, "sum-dependence conjecture", r2.counterexample)
-    return VerifyResult(name, True, f"both conjectures hold for n <= {max_n}")
+            raise Counterexample("sum-dependence conjecture", r2.counterexample)
+    return f"both conjectures hold for n <= {max_n}"
 
 
-def check_negative_control() -> VerifyResult:
+def check_negative_control() -> str:
     """The coincidence-vector count is genuinely asymmetric across classes
     that a naive sum-based reduction would identify."""
-    name = "negative-control"
     region = Region.from_steps("NNEE", "ENEN")
     counts = Counter(map(h_stats, enumerate_tuples(region, 2)))
     if counts[0, 1, 2] != 1 or counts[1, 1, 1] != 2:
-        return VerifyResult(name, False, f"unexpected counts {dict(counts)}", None)
-    return VerifyResult(name, True, "pair-count control values confirmed")
+        raise Counterexample(f"unexpected counts {dict(counts)}")
+    return "pair-count control values confirmed"
 
 
 # Each sweep, with what ``verify --max M`` bounds in it (the help epilog of
 # ``pathlab verify`` shows this text) and the run that applies that bound.
-SUITES: dict[str, tuple[str, Callable[[int], VerifyResult]]] = {
+SUITES: dict[str, tuple[str, Callable[[int], str]]] = {
     "switch-words": ("words of length <= min(2M, 14)",
                      lambda m: check_switch_words(min(2 * m, 14))),
-    "contact-involution": ("regions with x+y <= M", lambda m: check_contact_involution(m)),
+    "contact-involution": ("regions with x+y <= M", check_contact_involution),
     "tuple-symmetry": ("regions with x+y <= min(M, 8), k <= 3",
                        lambda m: check_tuple_symmetry(min(m, 8))),
     "tutte-orders": ("regions with x+y <= min(M, 6)", lambda m: check_tutte_orders(min(m, 6))),
@@ -488,3 +482,17 @@ SUITES: dict[str, tuple[str, Callable[[int], VerifyResult]]] = {
     "conjectures": ("n <= min(M, 4)", lambda m: check_conjectures(min(m, 4))),
     "negative-control": ("ignores M", lambda m: check_negative_control()),
 }
+
+
+def run(name: str, bound: int) -> VerifyResult:
+    """Suite ``name`` run at ``verify --max bound``: ok with what it covered,
+    FAIL with its counterexample, or FAIL naming any other exception the
+    code under test raised."""
+    sweep = SUITES[name][1]
+    try:
+        detail = sweep(bound)
+    except Counterexample as exc:
+        return VerifyResult(name, False, exc.what, exc.where)
+    except Exception as exc:
+        return VerifyResult(name, False, f"raised {type(exc).__name__}: {exc}")
+    return VerifyResult(name, True, detail)

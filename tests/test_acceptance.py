@@ -7,6 +7,7 @@ are asserted where the criterion names one.
 
 import time
 
+from pathlab import verify
 from pathlab.applications import conjecture_52_check, conjecture_53_check
 from pathlab.cli import main
 from pathlab.enumeration import enumerate_tuples, lgv_count, path_distribution
@@ -20,17 +21,6 @@ from pathlab.triangulations import (
     fan_region,
 )
 from pathlab.tuples import PathTuple, h_stats
-from pathlab.verify import (
-    check_activity_reorder,
-    check_brak_essam,
-    check_closed_formulas,
-    check_contact_involution,
-    check_nicolas,
-    check_permutation_bridge,
-    check_switch_words,
-    check_tableau_bijection,
-    check_tutte_orders,
-)
 
 from oracles import parse_poly
 
@@ -57,7 +47,7 @@ def test_criterion_01_displayed_polynomials(capsys):
 
 def test_criterion_02_involution_sweep(capsys):
     start = time.monotonic()
-    result = check_contact_involution(8)
+    result = verify.run("contact-involution", 8)
     elapsed = time.monotonic() - start
     ok = result.ok and elapsed < 300.0
     with capsys.disabled():
@@ -65,25 +55,25 @@ def test_criterion_02_involution_sweep(capsys):
 
 
 def test_criterion_03_switch_words(capsys):
-    result = check_switch_words(14)
+    result = verify.run("switch-words", 7)
     with capsys.disabled():
         report(3, result.ok, result.detail)
 
 
 def test_criterion_04_tutte_order_independence(capsys):
-    result = check_tutte_orders(6)
+    result = verify.run("tutte-orders", 6)
     with capsys.disabled():
         report(4, result.ok, result.detail)
 
 
 def test_criterion_05_activity_reorder(capsys):
-    result = check_activity_reorder(6)
+    result = verify.run("activity-reorder", 6)
     with capsys.disabled():
         report(5, result.ok, result.detail)
 
 
 def test_criterion_06_tableau_bijection(capsys):
-    result = check_tableau_bijection(4)
+    result = verify.run("tableau-bijection", 4)
     pinned = PathTuple(
         Region(Path((5,) * 6, 5), Path((0, 1, 1, 3, 4, 4), 5)),
         (
@@ -123,7 +113,7 @@ def test_criterion_07_determinant_consistency(capsys):
 
 
 def test_criterion_08_degree_distributions(capsys):
-    result = check_nicolas()
+    result = verify.run("triangulation-degrees", 6)
     example = Triangulation(8, 2, frozenset({(5, 8), (3, 8), (3, 6), (2, 6), (1, 6), (2, 5)}))
     degrees = degree_sequence(example)
     region = fan_region(8, 2)
@@ -142,9 +132,9 @@ def test_criterion_08_degree_distributions(capsys):
 
 def test_criterion_09_applications_suite(capsys):
     start = time.monotonic()
-    perm = check_permutation_bridge(7)
-    formulas = check_closed_formulas(7)
-    melons = check_brak_essam(8)
+    perm = verify.run("permutation-bridge", 7)
+    formulas = verify.run("closed-formulas", 7)
+    melons = verify.run("watermelons", 8)
     conj_fast_start = time.monotonic()
     conj4 = all(
         conjecture_52_check(n).holds and conjecture_53_check(n).holds

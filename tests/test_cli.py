@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FilePath
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from pathlab import cli, verify
 from pathlab.cli import main
 from pathlab.enumeration import path_distribution
 from pathlab.paths import Path, Region
+from pathlab.polynomials import MultiPoly
 from pathlab.verify import SUITES
 from pathlab.words import switch_inv
 
@@ -262,6 +264,59 @@ def test_a_fault_inside_a_sweep_fails_its_suite_and_the_later_suites_run(capsys,
     assert "Traceback" not in captured.err
 
 
+# One planted fault per suite: a name that ``verify`` imports, replaced so
+# that the sweep meets an instance breaking the claim it checks.
+PLANTED_FAULTS = {
+    "switch-words": ("switch_inv", lambda word: word),
+    "contact-involution": ("swapall", lambda region, path: path),
+    "tuple-symmetry": ("lgv_count", lambda region, k: -1),
+    "tutte-orders": ("path_distribution", lambda region, names: MultiPoly(("x", "y"), {})),
+    "activity-reorder": ("activities", lambda oracle, base, order: order.ranking),
+    "activity-contacts": ("left_contact_positions", lambda region, path: None),
+    "bltr-tuples": ("bltr_tuple_bijection", lambda t: t),
+    "tableau-bijection": ("psi_inv", lambda tab: None),
+    "fan-determinants": ("catalan_det", lambda n, k: 0),
+    "triangulation-counts": ("enumerate_k_triangulations", lambda n, k: iter(())),
+    "triangulation-degrees": ("nicolas_check", lambda n, k: SimpleNamespace(holds=False)),
+    "permutation-bridge": ("path_of_perm", lambda perm: None),
+    "closed-formulas": ("andre_barbier_count", lambda case, params: -1),
+    "watermelons": ("brak_essam_counts", lambda x, y, k: (0, 1)),
+    "conjectures": ("conjecture_52_check", lambda n: SimpleNamespace(holds=False, counterexample="n=1")),
+    "negative-control": ("h_stats", lambda t: (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, name):
+    """Each sweep reports its planted fault as a counterexample of its own:
+    one FAIL line, exit 1, and no traceback."""
+    monkeypatch.setattr(verify, *PLANTED_FAULTS[name])
+    assert main(["verify", "--suite", name, "--max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"FAIL {name}: ") and captured.out.count("\n") == 1
+    assert ": raised " not in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_run_builds_each_kind_of_result_line(monkeypatch):
+    def sweep(bound):
+        if bound == 1:
+            return "1 instance checked"
+        if bound == 2:
+            raise verify.Counterexample("claim broken", "instance")
+        if bound == 3:
+            raise verify.Counterexample("claim broken")
+        raise KeyError("lost")
+
+    monkeypatch.setitem(SUITES, "fake", ("ignores M", sweep))
+    assert [verify.run("fake", bound).line() for bound in (1, 2, 3, 4)] == [
+        "ok   fake: 1 instance checked",
+        "FAIL fake: claim broken [instance]",
+        "FAIL fake: claim broken",
+        "FAIL fake: raised KeyError: 'lost'",
+    ]
+
+
 def test_verify_help_says_what_max_bounds_in_every_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
@@ -270,9 +325,11 @@ def test_verify_help_says_what_max_bounds_in_every_suite(capsys):
 
 
 def test_every_suite_states_the_clamp_its_run_applies():
-    # the help text of a suite names every integer its run bounds --max with
+    # the help text of a suite names every integer its run bounds --max
+    # with; a suite that names its sweep itself passes --max on unclamped
     for name, (bounds, run) in SUITES.items():
-        clamps = {c for c in run.__code__.co_consts if isinstance(c, int)}
+        clamped = run.__name__ == "<lambda>"
+        clamps = {c for c in run.__code__.co_consts if isinstance(c, int)} if clamped else set()
         assert clamps <= {int(n) for n in re.findall(r"\d+", bounds)}, name
 
 

@@ -2,7 +2,6 @@ import random
 from collections import Counter, defaultdict
 from itertools import product
 from math import comb, prod
-from operator import itemgetter
 
 import pytest
 
@@ -12,7 +11,6 @@ from pathlab.enumeration import (
     CONTACT_STATS,
     VAR_NAMES,
     _height_sequences,
-    distribution,
     enumerate_paths,
     enumerate_tuples,
     lgv_count,
@@ -160,14 +158,12 @@ def enumerated_distribution(
 ) -> MultiPoly:
     """The oracle for ``path_distribution``: list every path and fold its
     ``contact_stats`` into the polynomial."""
-    stats = [
-        (VAR_NAMES[i], itemgetter(CONTACT_STATS.index(name)))
-        for i, name in enumerate(stat_names)
-    ]
-    contacts = (
-        contact_stats(region, p).as_tuple() for p in enumerate_paths(region, south_allowed)
+    slots = [CONTACT_STATS.index(name) for name in stat_names]
+    terms = Counter(
+        tuple(contact_stats(region, p).as_tuple()[slot] for slot in slots)
+        for p in enumerate_paths(region, south_allowed)
     )
-    return distribution(contacts, stats)
+    return MultiPoly(VAR_NAMES[: len(stat_names)], terms)
 
 
 STAT_LISTS = (
@@ -238,21 +234,6 @@ def test_path_distribution_takes_one_letter_per_variable_name():
     assert path_distribution(region, list("tblrtb")).variables == VAR_NAMES
     with pytest.raises(ValueError):
         path_distribution(region, list("tblrtbl"))
-
-
-def test_distribution_empty_stream():
-    assert distribution([], [("x", len)]) == MultiPoly(("x",), {})
-
-
-def test_distribution_is_multiset_invariant():
-    objs = list(range(10))
-    stats = [("x", lambda v: v % 3), ("y", lambda v: v % 2)]
-    base = distribution(objs, stats)
-    rng = random.Random(7)
-    for _ in range(5):
-        rng.shuffle(objs)
-        assert distribution(objs, stats) == base
-    assert base.coefficient_sum() == 10
 
 
 def test_lgv_examples():

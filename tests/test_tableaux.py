@@ -624,12 +624,11 @@ def test_repairs_match_oracle_and_definition(box, k):
 
 OPTIMIZED_CHECK = """
 import itertools, sys
-from pathlab import InvariantError, tableaux
+from pathlab import InvariantError, tableaux, verify
 from pathlab.enumeration import enumerate_tuples, lgv_count
-from pathlab.verify import check_tableau_bijection
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-result = check_tableau_bijection(2)
+result = verify.run("tableau-bijection", 2)
 if not result.ok:
     sys.exit(result.line())
 

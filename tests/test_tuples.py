@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from pathlab.enumeration import distribution, enumerate_paths, enumerate_tuples
+from pathlab import verify
+from pathlab.enumeration import enumerate_paths, enumerate_tuples
 from pathlab.paths import Path, Region, contact_stats, descent_set, noncontact_heights, parse_path
 from pathlab.matroids import bltr_single_path, bltr_tuple_bijection
 from pathlab.tuples import (
@@ -14,7 +16,7 @@ from pathlab.tuples import (
     u_stats,
     v_stats,
 )
-from pathlab.verify import _symmetric, all_regions, check_tuple_symmetry
+from pathlab.verify import _symmetric, all_regions
 
 # a wide region and a pinned pair of paths inside it
 WIDE = Region.from_steps("NNENEENENENENEEEE", "EEENENEENENNEENEN")
@@ -157,9 +159,9 @@ def test_h_distribution_symmetric_per_u_class():
 def test_bltr_tuple_small():
     region = Region.from_steps("NE", "EN")
     tuples = list(enumerate_tuples(region, 2))
-    src = distribution(tuples, [("x", lambda t: h_stats(t)[-1]), ("y", lambda t: v_stats(t)[0])])
+    src = Counter((h_stats(t)[-1], v_stats(t)[0]) for t in tuples)
     images = [bltr_tuple_bijection(t) for t in tuples]
-    dst = distribution(images, [("x", lambda t: h_stats(t)[0]), ("y", lambda t: v_stats(t)[-1])])
+    dst = Counter((h_stats(t)[0], v_stats(t)[-1]) for t in images)
     assert src == dst
     assert len(set(images)) == len(tuples)
 
@@ -174,7 +176,7 @@ def test_bltr_k1_equals_single_path_map():
 def test_h_symmetry_invariant_full_scale():
     # the coincidence-vector symmetry on every unused-edge class, at the
     # documented sweep bound; ~2 minutes
-    result = check_tuple_symmetry(8)
+    result = verify.run("tuple-symmetry", 8)
     assert result.ok, result.counterexample
 
 
