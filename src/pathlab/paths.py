@@ -32,7 +32,7 @@ class InvariantError(AssertionError):
     bare ``assert`` it survives ``python -O``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A lattice path encoded by the heights of its east steps.
 
@@ -191,7 +191,7 @@ class ContactStats(NamedTuple):
         return tuple(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """The set of paths weakly below a top boundary and weakly above a
     bottom boundary, both monotone paths from (0,0) to (x,y)."""
@@ -278,27 +278,65 @@ def contains(region: Region, path: Path) -> bool:
     )
 
 
-def contact_stats(region: Region, path: Path) -> ContactStats:
-    """Counts of east steps shared with each boundary and of north edges
-    shared with each boundary.
+class _Columns(NamedTuple):
+    stats: ContactStats
+    word: str
+    cols: tuple[int, ...]
+    unmatched_b: tuple[int, ...]
+    unmatched_t: tuple[int, ...]
+    free: tuple[int, ...]
 
-    A column where the two boundaries coincide counts toward both t and b.
-    The vertical run before column i covers [h_prev, h) and the top's
-    covers [th_prev, th); as h <= th they share max(0, h - max(h_prev,
-    th_prev)) edges, and likewise min(h, bh) = bh for the bottom.  The final
-    runs, up to y, follow the last column.
+
+# (path, region, record) of the last two scans, oldest first; holding a key keeps its id
+_memo: list[tuple[object, object, _Columns | None]] = [(object(), None, None)] * 2
+
+
+def _columns(region: Region, path: Path) -> _Columns:
+    """Classify each column (h, t_j, b_j) of a path as a top contact, a
+    bottom contact, both, or free, in one walk, or raise ``RegionError``
+    (dimensions first, then the first column outside the region).
+
+    ``stats`` counts a column on both boundaries toward t and b.  The run
+    before column i covers [h_prev, h) and the top's [th_prev, th); as
+    h <= th they share max(0, h - max(h_prev, th_prev)) north edges, and
+    likewise min(h, bh) = bh for the bottom; the final runs, up to y, follow
+    the last column.  ``word`` has a letter per column on one boundary only,
+    at the 1-based ``cols``; ``t`` pushes and ``b`` pops the last unmatched
+    ``t``, as in ``words.factorize``, leaving ``unmatched_b``/``_t`` (indices
+    into ``cols``).  ``free`` has the free columns' heights.  The last two
+    records are kept by identity: the involution reads a path and its image.
     """
+    entry = _memo[1]
+    if entry[0] is path and entry[1] is region:
+        return entry[2]
+    entry = _memo[0]
+    if entry[0] is path and entry[1] is region:
+        return entry[2]
     check_dimensions(region, path)
-    t = b = l = r = 0
-    hp = tp = bp = 0
+    t = b = l = r = hp = tp = bp = col = 0
+    word = ""
+    cols, unmatched_b, unmatched_t, free = [], [], [], []
     for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
+        col += 1
         if h == th:
             t += 1
-        elif h > th:
-            raise RegionError("path does not lie in the region")
-        if h == bh:
+            if h == bh:
+                b += 1
+            else:
+                unmatched_t.append(len(cols))
+                cols.append(col)
+                word += "t"
+        elif h == bh:
             b += 1
-        elif h < bh:
+            if unmatched_t:
+                unmatched_t.pop()
+            else:
+                unmatched_b.append(len(cols))
+            cols.append(col)
+            word += "b"
+        elif bh < h < th:
+            free.append(h)
+        else:
             raise RegionError("path does not lie in the region")
         if h > hp:
             if h > tp:
@@ -306,20 +344,21 @@ def contact_stats(region: Region, path: Path) -> ContactStats:
             if bh > hp and bh > bp:
                 r += bh - (hp if hp > bp else bp)
         hp, tp, bp = h, th, bh
-    y = path.y
-    l += y - (hp if hp > tp else tp)
-    r += y - (hp if hp > bp else bp)
-    return ContactStats(t, b, l, r)
+    l += path.y - (hp if hp > tp else tp)
+    r += path.y - (hp if hp > bp else bp)
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+    stats = tuple.__new__(ContactStats, (t, b, l, r))
+    record = tuple.__new__(_Columns, (stats, word, tuple(cols), tuple(unmatched_b), tuple(unmatched_t), tuple(free)))
+    _memo[0] = _memo[1]
+    _memo[1] = (path, region, record)
+    return record
+
+
+def contact_stats(region: Region, path: Path) -> ContactStats:
+    """East steps (t, b) and north edges (l, r) shared with each boundary."""
+    return _columns(region, path).stats
 
 
 def noncontact_heights(region: Region, path: Path) -> tuple[int, ...]:
-    """Heights of the east steps that are neither top nor bottom contacts,
-    in column order."""
-    check_dimensions(region, path)
-    out = []
-    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
-        if bh < h < th:
-            out.append(h)
-        elif h != th and h != bh:
-            raise RegionError("path does not lie in the region")
-    return tuple(out)
+    """Heights of the east steps on neither boundary, in column order."""
+    return _columns(region, path).free

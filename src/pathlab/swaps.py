@@ -5,65 +5,26 @@ exchanges the top- and bottom-contact counts while preserving the descent
 set and the heights of the non-contact east steps.
 
 One kernel per direction, ``_down`` and ``_up``, moves one contact in place
-on a height list and checks the columns it rewrote.  ``_scan`` walks the
-columns once and matches the contact word as it goes, the stack pass of
-``words.factorize`` with t opening and b closing, without building the word;
-``swapall`` reads the moves off that scan and runs a kernel |t - b| times.
+on a height list and checks the columns it rewrote.  ``swapall`` reads its
+moves off ``paths._columns``, the one column scan, which keeps its last two
+records by identity, so a path and its image are scanned once each.
 """
 
 from __future__ import annotations
 
-from .paths import InvariantError, Path, Region, RegionError, check_dimensions
+from .paths import InvariantError, Path, Region, _columns
 
 
 def _scan(region: Region, path: Path) -> tuple[list[int], list[int], list[int]]:
-    """One pass over the columns of a path given at the API: its contact
-    columns, and the indices into them of the unmatched b's and of the
-    unmatched t's, or ``RegionError`` if the path does not lie in the region.
-
-    Every east step that is a top or bottom contact but not both gives one
-    (1-based) column, and one letter, ``t`` or ``b``, of the contact word;
-    steps shared by both boundaries are omitted.  A ``t`` is pushed and a
-    ``b`` pops the last unmatched ``t``, so the stack left at the end holds
-    the unmatched ``t``'s, as in ``words.factorize``.
-    """
-    check_dimensions(region, path)
-    cols = []
-    unmatched_b = []
-    unmatched_t = []
-    col = 0
-    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
-        col += 1
-        if h == th:
-            if h != bh:
-                unmatched_t.append(len(cols))
-                cols.append(col)
-        elif h == bh:
-            if unmatched_t:
-                unmatched_t.pop()
-            else:
-                unmatched_b.append(len(cols))
-            cols.append(col)
-        elif h > th or h < bh:
-            raise RegionError("path does not lie in the region")
-    return cols, unmatched_b, unmatched_t
+    """``paths._columns``'s contact columns and unmatched b's and t's, as
+    fresh lists: the moves rewrite ``cols``."""
+    record = _columns(region, path)
+    return list(record.cols), list(record.unmatched_b), list(record.unmatched_t)
 
 
 def contact_word(region: Region, path: Path) -> str:
-    """The path's contact letters in column order (see ``_scan``), spelled
-    in one pass over the columns, or ``RegionError`` if the path does not
-    lie in the region."""
-    check_dimensions(region, path)
-    word = ""
-    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
-        if h == th:
-            if h != bh:
-                word += "t"
-        elif h == bh:
-            word += "b"
-        elif h > th or h < bh:
-            raise RegionError("path does not lie in the region")
-    return word
+    """The path's contact letters in column order (see ``paths._columns``)."""
+    return _columns(region, path).word
 
 
 def _land(region: Region, h: list[int], cols: list[int], k: int, land: int, boundary, letter: str, name: str):

@@ -1,5 +1,6 @@
-"""Test oracles that more than one test module uses, and the definitions
-of matroid bases that the library's oracles list without testing.
+"""Test oracles that more than one test module uses, the definitions of
+matroid bases that the library's oracles list without testing, and the four
+column loops that ``paths._columns`` replaced, one per contact reader.
 
 Any other oracle that only one module needs lives in that module.
 """
@@ -8,7 +9,16 @@ import json
 from itertools import permutations
 from typing import Callable
 
-from pathlab.paths import Path, PathError, Region, contains, path_from_north_set
+from pathlab.paths import (
+    ContactStats,
+    Path,
+    PathError,
+    Region,
+    RegionError,
+    check_dimensions,
+    contains,
+    path_from_north_set,
+)
 from pathlab.polynomials import MultiPoly
 
 
@@ -78,3 +88,85 @@ def json_by_payload(poly: MultiPoly) -> str:
         "terms": [{"exp": list(e), "coef": c} for e, c in poly.sorted_terms()],
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+# The contact readers as four loops, one per reader, each checking the
+# dimensions and the region itself.  ``paths._columns`` does all four in one
+# walk; these stay as its definitions, errors included.
+
+
+def contact_stats(region: Region, path: Path) -> ContactStats:
+    """t and b by column, and l and r as the overlaps of each vertical run
+    with the boundary's run before the same column."""
+    check_dimensions(region, path)
+    t = b = l = r = 0
+    hp = tp = bp = 0
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
+        if h == th:
+            t += 1
+        elif h > th:
+            raise RegionError("path does not lie in the region")
+        if h == bh:
+            b += 1
+        elif h < bh:
+            raise RegionError("path does not lie in the region")
+        if h > hp:
+            if h > tp:
+                l += h - (hp if hp > tp else tp)
+            if bh > hp and bh > bp:
+                r += bh - (hp if hp > bp else bp)
+        hp, tp, bp = h, th, bh
+    y = path.y
+    l += y - (hp if hp > tp else tp)
+    r += y - (hp if hp > bp else bp)
+    return ContactStats(t, b, l, r)
+
+
+def noncontact_heights(region: Region, path: Path) -> tuple[int, ...]:
+    check_dimensions(region, path)
+    out = []
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
+        if bh < h < th:
+            out.append(h)
+        elif h != th and h != bh:
+            raise RegionError("path does not lie in the region")
+    return tuple(out)
+
+
+def contact_word(region: Region, path: Path) -> str:
+    check_dimensions(region, path)
+    word = ""
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
+        if h == th:
+            if h != bh:
+                word += "t"
+        elif h == bh:
+            word += "b"
+        elif h > th or h < bh:
+            raise RegionError("path does not lie in the region")
+    return word
+
+
+def scan(region: Region, path: Path) -> tuple[list[int], list[int], list[int]]:
+    """The contact columns, and the indices into them of the unmatched b's
+    and t's: t pushes, b pops the last unmatched t."""
+    check_dimensions(region, path)
+    cols = []
+    unmatched_b = []
+    unmatched_t = []
+    col = 0
+    for h, th, bh in zip(path.heights, region.top.heights, region.bottom.heights):
+        col += 1
+        if h == th:
+            if h != bh:
+                unmatched_t.append(len(cols))
+                cols.append(col)
+        elif h == bh:
+            if unmatched_t:
+                unmatched_t.pop()
+            else:
+                unmatched_b.append(len(cols))
+            cols.append(col)
+        elif h > th or h < bh:
+            raise RegionError("path does not lie in the region")
+    return cols, unmatched_b, unmatched_t

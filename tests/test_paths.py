@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from pathlab import paths, swaps
 from pathlab.enumeration import enumerate_paths
 from pathlab.paths import (
     ContactStats,
@@ -200,6 +202,82 @@ def test_contact_statistics_reject_paths_outside_the_region():
         for stat in (contains, contact_stats, noncontact_heights):
             with pytest.raises(RegionError, match="^path and region dimensions differ$"):
                 stat(r, p)
+
+
+# Each reader of paths._columns beside the loop it replaced.
+READERS = [
+    (contact_stats, oracles.contact_stats),
+    (noncontact_heights, oracles.noncontact_heights),
+    (swaps.contact_word, oracles.contact_word),
+    (swaps._scan, oracles.scan),
+]
+
+
+def outcome(fn, region, path):
+    try:
+        return fn(region, path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_readers_match_oracles(region, path):
+    # a fresh copy per reader, so that each reader once scans and once reads
+    # a record that another reader's scan kept
+    for first, first_oracle in READERS:
+        q = Path._of(path.heights, path.y)
+        assert outcome(first, region, q) == outcome(first_oracle, region, q)
+        for fn, oracle in READERS:
+            assert outcome(fn, region, q) == outcome(oracle, region, q)
+    assert len(paths._memo) <= 2
+
+
+def test_readers_match_the_column_loops():
+    inside = outside = 0
+    for region in all_regions(6):
+        for south_allowed in (False, True):
+            for p in enumerate_paths(region, south_allowed):
+                inside += 1
+                assert_readers_match_oracles(region, p)
+        for heights in product(range(region.y + 1), repeat=region.x):
+            p = Path(heights, region.y)
+            if not contains(region, p):
+                outside += 1
+                assert_readers_match_oracles(region, p)
+    assert (inside, outside) == (6512, 22061)
+    r = Region.from_steps("NNEE", "ENEN")
+    for p in (Path((2, 2, 2), 2), Path((1,), 1), Path((2, 2), 3)):
+        assert_readers_match_oracles(r, p)
+        assert outcome(contact_stats, r, p) == (RegionError, "path and region dimensions differ")
+
+
+def test_kept_records_stay_with_their_path_and_region():
+    staircase = Region.from_steps("NNEE", "ENEN")
+    square = Region.from_steps("NNEE", "EENN")
+    p = Path((1, 1), 2)
+    # one path object under two regions, interleaved
+    for region in (staircase, square, staircase, square):
+        assert contact_stats(region, p) == oracles.contact_stats(region, p)
+        assert swaps.contact_word(region, p) == oracles.contact_word(region, p)
+    assert contact_stats(staircase, p) != contact_stats(square, p)
+    # equal but distinct paths, and an equal but distinct region, are
+    # scanned again
+    q = Path((1, 1), 2)
+    assert contact_stats(square, q) == oracles.contact_stats(square, q)
+    assert [(e[0], e[1]) for e in paths._memo] == [(p, square), (q, square)]
+    assert paths._memo[0][0] is p and paths._memo[1][0] is q
+    other = Region.from_steps("NNEE", "EENN")
+    assert noncontact_heights(other, q) == oracles.noncontact_heights(other, q)
+    assert paths._memo[1][1] is other and len(paths._memo) == 2
+    # a scan that raised leaves no entry behind
+    kept = list(paths._memo)
+    for bad in (Path((2, 0), 2), Path((1,), 2)):
+        for fn, oracle in READERS:
+            assert outcome(fn, staircase, bad) == outcome(oracle, staircase, bad)
+            assert all(a is b for a, b in zip(paths._memo, kept)) and len(paths._memo) == 2
+    # _scan hands out fresh lists, which the moves may rewrite
+    cols, _, _ = swaps._scan(staircase, p)
+    cols[0] = 99
+    assert swaps._scan(staircase, p) == oracles.scan(staircase, p)
 
 
 def test_descent_set():
