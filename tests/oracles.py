@@ -90,6 +90,15 @@ def json_by_payload(poly: MultiPoly) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def outcome(fn, region, path):
+    """What ``fn(region, path)`` returns, or the type and message of the
+    ``ValueError`` it raises."""
+    try:
+        return fn(region, path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 # The contact readers as four loops, one per reader, each checking the
 # dimensions and the region itself.  ``paths._columns`` does all four in one
 # walk; these stay as its definitions, errors included.

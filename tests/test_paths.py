@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from oracles import outcome
 from pathlab import paths, swaps
 from pathlab.enumeration import enumerate_paths
 from pathlab.paths import (
@@ -211,13 +212,6 @@ READERS = [
     (swaps.contact_word, oracles.contact_word),
     (swaps._scan, oracles.scan),
 ]
-
-
-def outcome(fn, region, path):
-    try:
-        return fn(region, path)
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def assert_readers_match_oracles(region, path):

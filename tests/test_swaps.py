@@ -6,6 +6,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from oracles import outcome
 from pathlab import swaps
 from pathlab.enumeration import enumerate_paths, enumerate_tuples
 from pathlab.paths import (
@@ -263,13 +264,6 @@ def oracle_swapall(region, path):
     for _ in range(b - t):
         image = oracle_swap_inv(region, image)
     return image
-
-
-def outcome(fn, region, path):
-    try:
-        return fn(region, path)
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def test_swaps_match_oracle():
