@@ -47,17 +47,13 @@ from .tableaux import (
     tab_of_tuple,
 )
 from .applications import (
-    Watermelon,
     andre_barbier_count,
-    conjecture_52_check,
-    conjecture_53_check,
+    conjecture_check,
     contact_formula_count,
     corollary_ij_check,
     path_of_perm,
     perm_of_path,
     perm_stats,
-    tuple_to_watermelon,
-    watermelon_to_tuple,
 )
 from .triangulations import (
     Triangulation,

@@ -1,6 +1,6 @@
 """Consequences of the contact symmetries: counting corollaries and closed
-formulas, a bijection with permutations, watermelon configurations, and two
-finite conjecture checkers."""
+formulas, a bijection with permutations, watermelon configurations read as
+nested path tuples, and one finite checker for two conjectures."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from itertools import accumulate
 from math import comb
 
 from .enumeration import _height_sequences, enumerate_tuples, path_distribution
-from .paths import InvariantError, Path, Region, parse_path
-from .tuples import PathTuple
+from .paths import InvariantError, Path, Region
 
 
 def binom(a: int, b: int) -> int:
@@ -214,93 +213,35 @@ def perm_stats(perm: tuple[int, ...]) -> tuple[int, int, frozenset[int]]:
 # watermelon configurations
 
 
-@dataclass(frozen=True)
-class Watermelon:
-    """k vertex-disjoint up/down paths, the i-th starting at (0, 2i) and
-    ending at (x, y + 2i), none dipping below the axis.  Steps are +-1,
-    bottom path first."""
-
-    steps: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
-        if not self.steps:
-            raise ValueError("a watermelon needs at least one path")
-        x = len(self.steps[0])
-        if any(len(s) != x for s in self.steps):
-            raise ValueError("paths must share their length")
-        if any(abs(v) != 1 for s in self.steps for v in s):
-            raise ValueError("steps must be +1 or -1")
-        devs = {sum(s) for s in self.steps}
-        if len(devs) != 1:
-            raise ValueError("paths must share their deviation")
-        prev = None
-        for idx, s in enumerate(self.steps):
-            height = 2 * idx
-            trace = [height]
-            for v in s:
-                height += v
-                trace.append(height)
-            if idx == 0 and min(trace) < 0:
-                raise ValueError("bottom path dips below the axis")
-            if prev is not None and any(a <= b for a, b in zip(trace, prev)):
-                raise ValueError("paths intersect")
-            prev = trace
-
-    @property
-    def k(self) -> int:
-        return len(self.steps)
-
-    @property
-    def x(self) -> int:
-        return len(self.steps[0])
-
-    @property
-    def y(self) -> int:
-        return sum(self.steps[0])
-
-    def returns(self) -> int:
-        """Down-steps of the bottom path that land on the axis."""
-        height = 0
-        hits = 0
-        for v in self.steps[0]:
-            height += v
-            if v == -1 and height == 0:
-                hits += 1
-        return hits
-
-
 def watermelon_region(x: int, y: int) -> Region:
+    """The region whose weakly nested k-tuples are the configurations of k
+    walks of length x and deviation y.
+
+    A configuration's i-th +-1 walk runs from (0, 2i) to (x, y + 2i); the
+    bottom walk never goes below the axis, and each walk stays strictly
+    above the one below it.  Read as a path's step string, N = +1 and
+    E = -1, the top walk is the tuple's first path.
+    """
     if (x + y) % 2:
         raise ValueError("length and deviation must have equal parity")
+    if not 0 <= y <= x:
+        raise ValueError("deviation must lie between 0 and the length")
     m = (x - y) // 2
     top = "N" * ((x + y) // 2) + "E" * m
     bottom = "NE" * m + "N" * y
     return Region.from_steps(top, bottom)
 
 
-def watermelon_to_tuple(w: Watermelon) -> PathTuple:
-    """Up steps become norths, down steps easts; the top path of the
-    configuration becomes the first path of the tuple."""
-    region = watermelon_region(w.x, w.y)
-    paths = (parse_path("".join("N" if v == 1 else "E" for v in s)) for s in reversed(w.steps))
-    return PathTuple(region, tuple(paths))
-
-
-def tuple_to_watermelon(pt: PathTuple) -> Watermelon:
-    """Norths become up steps and easts down steps; the first path of the
-    tuple becomes the top path of the configuration."""
-    region = pt.region
-    x = region.x + region.y
-    y = region.y - region.x
-    if y < 0 or region != watermelon_region(x, y):
-        raise ValueError("region does not arise from a watermelon configuration")
-    return Watermelon(tuple(_walk(p) for p in reversed(pt.paths)))
-
-
 def _walk(path: Path) -> tuple[int, ...]:
     """The path's step string read as a walk: N = +1, E = -1."""
     return tuple(1 if step == "N" else -1 for step in path.steps())
+
+
+def walk_returns(path: Path) -> int:
+    """Down steps of the path read as a walk from the axis that land back
+    on the axis: the returns of a configuration's bottom walk."""
+    walk = _walk(path)
+    return sum(v == -1 and h == 0 for v, h in zip(walk, accumulate(walk)))
 
 
 def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -351,7 +292,7 @@ def brak_essam_counts(x: int, y: int, k: int) -> tuple[dict[int, int], dict[int,
 
 
 # ---------------------------------------------------------------------------
-# conjecture checkers
+# conjecture checker
 
 
 @dataclass(frozen=True)
@@ -381,47 +322,27 @@ def regions_touching_only_at_ends(n: int) -> list[Region]:
     return regions
 
 
-def _staircase_ne(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
+def conjecture_check(n: int) -> tuple[ConjectureReport, ConjectureReport]:
+    """Conjectures 5.2 and 5.3 over the regions meeting only at their ends,
+    from one listing of them and four pair distributions per region.
 
-
-def _staircase_en(n: int) -> tuple[int, ...]:
-    return tuple(range(0, n))
-
-
-def conjecture_52_check(n: int) -> ConjectureReport:
-    """Equivalence of four pairwise distribution identities with the two
-    staircase boundary shapes, over regions meeting only at their ends."""
+    5.2: each of (b, l) = (b, t), (b, l) = (l, r), (t, r) = (b, t) and
+    (t, r) = (l, r) holds exactly when the top or the bottom is a
+    staircase.  5.3: the (b, l) counts depend only on their sum exactly
+    when a staircase faces the full opposite corner.  Each report names the
+    first region that breaks its conjecture.
+    """
     regions = regions_touching_only_at_ends(n)
+    stair_top, stair_bottom = tuple(range(1, n + 1)), tuple(range(n))
+    corners = {((n,) * n, stair_bottom), (stair_top, (0,) * n)}
+    found: list[str | None] = [None, None]
     for region in regions:
-        p_bl = path_distribution(region, ["b", "l"])
-        p_bt = path_distribution(region, ["b", "t"])
-        p_lr = path_distribution(region, ["l", "r"])
-        p_tr = path_distribution(region, ["t", "r"])
-        conds = [p_bl == p_bt, p_bl == p_lr, p_tr == p_bt, p_tr == p_lr]
-        special = (
-            region.t_heights == _staircase_ne(n)
-            or region.b_heights == _staircase_en(n)
-        )
-        if any(c != special for c in conds):
-            return ConjectureReport(False, len(regions), str(region))
-    return ConjectureReport(True, len(regions), None)
-
-
-def conjecture_53_check(n: int) -> ConjectureReport:
-    """The (bottom, left) contact counts depend only on their sum exactly
-    for the two fully staircase-against-corner regions."""
-    regions = regions_touching_only_at_ends(n)
-    full_top = (n,) * n
-    full_bottom = (0,) * n
-    for region in regions:
-        counts = path_distribution(region, ["b", "l"]).terms
-        depends = _counts_depend_on_sum(counts, n + 1)
-        special = (
-            region.t_heights == full_top and region.b_heights == _staircase_en(n)
-        ) or (
-            region.t_heights == _staircase_ne(n) and region.b_heights == full_bottom
-        )
-        if depends != special:
-            return ConjectureReport(False, len(regions), str(region))
-    return ConjectureReport(True, len(regions), None)
+        bl, bt, lr, tr = (path_distribution(region, list(pair)) for pair in ("bl", "bt", "lr", "tr"))
+        special = region.t_heights == stair_top or region.b_heights == stair_bottom
+        holds_52 = all(c == special for c in (bl == bt, bl == lr, tr == bt, tr == lr))
+        corner = (region.t_heights, region.b_heights) in corners
+        holds_53 = _counts_depend_on_sum(bl.terms, n + 1) == corner
+        for i, holds in enumerate((holds_52, holds_53)):
+            if not holds and found[i] is None:
+                found[i] = str(region)
+    return tuple(ConjectureReport(where is None, len(regions), where) for where in found)

@@ -5,8 +5,9 @@ Exit codes: 0 on success or a verified sweep, 1 when a check finds a
 counterexample or a ``verify`` sweep raises (its suite prints FAIL and the
 later suites still run), 2 on usage errors: any argument a verb rejects,
 malformed path, region, word or tableau text included.  Stdout is
-byte-deterministic for fixed arguments; ``verify`` and ``check-conjectures``
-write the wall time of each sweep to stderr.
+byte-deterministic for fixed arguments; ``verify`` writes the wall time of
+each sweep to stderr, and ``check-conjectures`` that of each n, both
+conjectures together.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from collections import Counter
 
 from .applications import (
     IJReport,
-    Watermelon,
     andre_barbier_count,
-    conjecture_52_check,
-    conjecture_53_check,
+    conjecture_check,
     contact_formula_count,
     corollary_ij_check,
     path_of_perm,
     perm_of_path,
     perm_stats,
-    tuple_to_watermelon,
-    watermelon_to_tuple,
+    walk_returns,
+    watermelon_region,
 )
 from .enumeration import (
     CONTACT_STATS,
@@ -335,21 +334,17 @@ def cmd_perm(args) -> int:
 
 
 def cmd_watermelon(args) -> int:
-    steps = {"U": 1, "D": -1}
-    chunks = args.paths.split(";")
-    bad = sorted(set("".join(chunks)) - set(steps))
+    words = args.paths.split(";")
+    bad = sorted(set("".join(words)) - set("UD"))
     if bad:
         raise ValueError(f"steps must be U or D, not {bad}")
-    melon = Watermelon(tuple(tuple(steps[ch] for ch in chunk) for chunk in chunks))
-    pt = watermelon_to_tuple(melon)
-    if tuple_to_watermelon(pt) != melon:
-        raise InvariantError("the tuple does not map back to the configuration")
+    region = watermelon_region(len(words[0]), words[0].count("U") - words[0].count("D"))
+    paths = (parse_path(w.replace("U", "N").replace("D", "E")) for w in reversed(words))
+    pt = PathTuple(region, tuple(paths))
+    h = h_stats(pt)
     print(str(pt.region))
     print(";".join(str(p) for p in pt.paths))
-    print(
-        f"returns {melon.returns()} h {list(h_stats(pt))} "
-        f"b {h_stats(pt)[-1]}"
-    )
+    print(f"returns {walk_returns(pt.paths[-1])} h {list(h)} b {h[-1]}")
     return 0
 
 
@@ -384,14 +379,13 @@ def cmd_check_cor_ij(args) -> int:
 def cmd_check_conjectures(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
-    ok = True
-    for label, checker in (("equivalences", conjecture_52_check), ("sum-dependence", conjecture_53_check)):
-        for n in range(1, args.n + 1):
-            report = _timed(f"{label} n={n}", lambda: checker(n))
+    reports = [_timed(f"conjectures n={n}", lambda: conjecture_check(n)) for n in range(1, args.n + 1)]
+    for i, label in enumerate(("equivalences", "sum-dependence")):
+        for n, pair in enumerate(reports, 1):
+            report = pair[i]
             status = "ok" if report.holds else f"COUNTEREXAMPLE {report.counterexample}"
             print(f"{label} n={n}: {report.regions_checked} regions, {status}")
-            ok = ok and report.holds
-    return 0 if ok else 1
+    return 0 if all(r.holds for pair in reports for r in pair) else 1
 
 
 def cmd_triangulate(args) -> int:

@@ -20,8 +20,7 @@ from .applications import (
     brak_essam_counts,
     case1_region,
     case2_region,
-    conjecture_52_check,
-    conjecture_53_check,
+    conjecture_check,
     contact_formula_count,
     dyck_region,
     path_of_perm,
@@ -435,12 +434,11 @@ def check_brak_essam(max_x: int) -> str:
 
 def check_conjectures(max_n: int) -> str:
     for n in range(1, max_n + 1):
-        r1 = conjecture_52_check(n)
-        if not r1.holds:
-            raise Counterexample("distribution equivalence conjecture", r1.counterexample)
-        r2 = conjecture_53_check(n)
-        if not r2.holds:
-            raise Counterexample("sum-dependence conjecture", r2.counterexample)
+        equivalence, sum_dependence = conjecture_check(n)
+        if not equivalence.holds:
+            raise Counterexample("distribution equivalence conjecture", equivalence.counterexample)
+        if not sum_dependence.holds:
+            raise Counterexample("sum-dependence conjecture", sum_dependence.counterexample)
     return f"both conjectures hold for n <= {max_n}"
 
 

@@ -8,7 +8,7 @@ are asserted where the criterion names one.
 import time
 
 from pathlab import verify
-from pathlab.applications import conjecture_52_check, conjecture_53_check
+from pathlab.applications import conjecture_check
 from pathlab.cli import main
 from pathlab.enumeration import enumerate_tuples, lgv_count, path_distribution
 from pathlab.paths import Path, Region
@@ -136,13 +136,10 @@ def test_criterion_09_applications_suite(capsys):
     formulas = verify.run("closed-formulas", 7)
     melons = verify.run("watermelons", 8)
     conj_fast_start = time.monotonic()
-    conj4 = all(
-        conjecture_52_check(n).holds and conjecture_53_check(n).holds
-        for n in range(1, 5)
-    )
+    conj4 = all(report.holds for n in range(1, 5) for report in conjecture_check(n))
     conj4_time = time.monotonic() - conj_fast_start
     conj5_start = time.monotonic()
-    conj5 = conjecture_52_check(5).holds and conjecture_53_check(5).holds
+    conj5 = all(report.holds for report in conjecture_check(5))
     conj5_time = time.monotonic() - conj5_start
     ok = (
         perm.ok

@@ -1,22 +1,24 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path as FilePath
 
 import pytest
 
+from pathlab import cli
 from pathlab.applications import (
     IJReport,
-    Watermelon,
     _counts_depend_on_sum,
     _t_then_b,
+    _walk,
     andre_barbier_count,
     binom,
     brak_essam_counts,
     case1_region,
     case2_region,
-    conjecture_52_check,
-    conjecture_53_check,
+    conjecture_check,
     contact_formula_count,
     corollary_ij_check,
     dyck_region,
@@ -24,14 +26,13 @@ from pathlab.applications import (
     perm_of_path,
     perm_stats,
     regions_touching_only_at_ends,
-    tuple_to_watermelon,
+    walk_returns,
     watermelon_region,
-    watermelon_to_tuple,
 )
 from pathlab.enumeration import enumerate_paths, enumerate_tuples, path_distribution
-from pathlab.paths import Path, Region, contact_stats, descent_set, vertices
+from pathlab.paths import Path, Region, contact_stats, descent_set, parse_path, vertices
 from pathlab.swaps import contact_word
-from pathlab.tuples import h_stats
+from pathlab.tuples import PathTuple, h_stats
 from pathlab.verify import all_regions
 
 from oracles import rectangle
@@ -225,42 +226,59 @@ def test_perm_bridge_exhaustive_small():
     assert len(perms) == 24
 
 
+def is_configuration(walks: tuple[tuple[int, ...], ...]) -> bool:
+    """The oracle for the watermelon configurations, bottom walk first: the
+    +-1 walks share their length and their deviation, the bottom walk
+    never goes below 0, and with its 2i offset walk i+1 stays strictly
+    above walk i."""
+    if len({len(w) for w in walks}) != 1 or len({sum(w) for w in walks}) != 1:
+        return False
+    traces = [tuple(accumulate(w, initial=2 * i)) for i, w in enumerate(walks)]
+    return min(traces[0]) >= 0 and all(
+        a > b for lower, upper in zip(traces, traces[1:]) for a, b in zip(upper, lower)
+    )
+
+
+def configuration_tuple(walks: tuple[tuple[int, ...], ...]) -> PathTuple:
+    """The walks, bottom first, as the checked tuple the ``watermelon`` verb
+    builds: up steps become norths, down steps easts, top walk first."""
+    region = watermelon_region(len(walks[0]), sum(walks[0]))
+    paths = (parse_path("".join("N" if v == 1 else "E" for v in w)) for w in reversed(walks))
+    return PathTuple(region, tuple(paths))
+
+
 def test_watermelon_examples():
-    udud = Watermelon(((1, -1, 1, -1),))
-    t = watermelon_to_tuple(udud)
+    t = configuration_tuple(((1, -1, 1, -1),))
     assert t.paths[0].heights == (1, 2)
-    assert h_stats(t)[-1] == 2 == udud.returns()
-    uudd = Watermelon(((1, 1, -1, -1),))
-    t2 = watermelon_to_tuple(uudd)
+    assert h_stats(t)[-1] == 2 == walk_returns(t.paths[-1])
+    t2 = configuration_tuple(((1, 1, -1, -1),))
     assert t2.paths[0].heights == (2, 2)
-    assert h_stats(t2)[-1] == 1 == uudd.returns()
-    single = Watermelon(((1, -1),))
-    assert single.returns() == 1
+    assert h_stats(t2)[-1] == 1 == walk_returns(t2.paths[-1])
+    assert walk_returns(configuration_tuple(((1, -1),)).paths[0]) == 1
 
 
 def test_watermelon_validation():
-    with pytest.raises(ValueError):
-        Watermelon(((-1, 1),))  # dips below the axis
-    with pytest.raises(ValueError):
-        Watermelon(((1, -1), (1, 1)))  # deviations differ
-    with pytest.raises(ValueError):
-        Watermelon(((1, 1, -1, -1), (1, -1, 1, -1)))  # paths touch
+    for walks in (
+        ((-1, 1),),  # dips below the axis
+        ((1, -1), (1, 1)),  # deviations differ
+        ((1, 1, -1, -1), (1, -1, 1, -1)),  # paths touch
+        ((1, -1), (1, -1, 1, -1)),  # lengths differ
+    ):
+        assert not is_configuration(walks)
+        with pytest.raises(ValueError):
+            configuration_tuple(walks)
+    for x, y in ((3, 0), (2, -2), (2, 4)):  # odd parity, deviation outside [0, x]
+        with pytest.raises(ValueError):
+            watermelon_region(x, y)
 
 
 @cache
 def brute_force_watermelons(x: int, y: int, k: int) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """The oracle for the watermelon configurations: every k-tuple of +-1 walks
-    of length x that ``Watermelon`` accepts, with deviation y.  Cached, as
-    the Brak-Essam oracle asks for the same floors for every e."""
+    """Every k-tuple of +-1 walks of length x and deviation y that
+    ``is_configuration`` accepts, bottom walk first.  Cached, as the
+    Brak-Essam oracle asks for the same floors for every e."""
     walks = [w for w in product((1, -1), repeat=x) if sum(w) == y]
-    found = set()
-    for steps in product(walks, repeat=k):
-        try:
-            melon = Watermelon(steps)
-        except ValueError:
-            continue
-        found.add(melon.steps)
-    return frozenset(found)
+    return frozenset(steps for steps in product(walks, repeat=k) if is_configuration(steps))
 
 
 def test_watermelons_match_brute_force():
@@ -274,7 +292,7 @@ def test_watermelons_match_brute_force():
                     melons = []
                 else:
                     tuples = enumerate_tuples(watermelon_region(x, y), k)
-                    melons = [tuple_to_watermelon(t).steps for t in tuples]
+                    melons = [tuple(map(_walk, reversed(t.paths))) for t in tuples]
                 assert len(melons) == len(set(melons))
                 assert set(melons) == brute_force_watermelons(x, y, k), (x, y, k)
                 cases += 1
@@ -284,11 +302,55 @@ def test_watermelons_match_brute_force():
 def test_watermelon_tuple_bijection():
     for (x, y, k) in ((4, 0, 1), (4, 2, 2), (6, 0, 2)):
         melons = brute_force_watermelons(x, y, k)
-        tuples = {watermelon_to_tuple(Watermelon(m)) for m in melons}
-        region = watermelon_region(x, y)
-        assert tuples == set(enumerate_tuples(region, k))
+        tuples = {configuration_tuple(m) for m in melons}
+        assert tuples == set(enumerate_tuples(watermelon_region(x, y), k))
         for m in melons:
-            assert tuple_to_watermelon(watermelon_to_tuple(Watermelon(m))).steps == m
+            assert tuple(map(_walk, reversed(configuration_tuple(m).paths))) == m
+
+
+def test_returns_of_the_bottom_walk_are_its_bottom_contacts():
+    # the Deutsch/Brak-Essam reading the watermelon verb prints: a return of
+    # the bottom walk is an east step of the last path on the region's bottom
+    cases = 0
+    for x in range(9):
+        for y in range(x % 2, x + 1, 2):
+            for k in (1, 2, 3):
+                for t in enumerate_tuples(watermelon_region(x, y), k):
+                    assert walk_returns(t.paths[-1]) == h_stats(t)[-1], t
+                    cases += 1
+    assert cases == 5403
+
+
+def test_watermelon_verb_accepts_exactly_the_configurations(monkeypatch):
+    # one parser for all 5,061 runs: building it costs more than the verb
+    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+    steps = {"U": 1, "D": -1}
+    texts = [
+        ";".join(words)
+        for x in range(5)
+        for k in (1, 2, 3)
+        for words in product(map("".join, product("UD", repeat=x)), repeat=k)
+    ]
+    texts += ["UD;UUDD", "UUDD;UD", "U;UUU", "UDx", "UD;U-", "ud", "UD;;UD", "N"]
+    accepted = 0
+    for text in texts:
+        words = text.split(";")
+        valid = set(text) <= set("UD;") and is_configuration(
+            tuple(tuple(steps[c] for c in w) for w in words)
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["watermelon", "--paths", text])
+        out, err = out.getvalue(), err.getvalue()
+        if valid:
+            assert code == 0 and err == "", text
+            fields = out.splitlines()[-1].split()
+            assert fields[0] == "returns" and fields[-2] == "b" and fields[1] == fields[-1], text
+            accepted += 1
+        else:
+            assert code == 2 and out == "", text
+            assert err.startswith("error:") and err.count("\n") == 1, text
+    assert (len(texts), accepted) == (5061, 55)
 
 
 def walked_brak_essam_families(x: int, y: int, k: int, e: int) -> int:
@@ -406,8 +468,7 @@ def test_regions_touching_only_at_ends():
 
 def test_conjecture_checkers_hold_small():
     for n in (1, 2, 3):
-        assert conjecture_52_check(n).holds
-        assert conjecture_53_check(n).holds
+        assert all(report.holds for report in conjecture_check(n))
 
 
 def find_tbl_btr_counterexample(max_semi: int) -> Region | None:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathlab import cli, verify
+from pathlab.applications import ConjectureReport, conjecture_check
 from pathlab.cli import main
 from pathlab.enumeration import path_distribution
 from pathlab.paths import Path, Region
@@ -281,7 +282,7 @@ PLANTED_FAULTS = {
     "permutation-bridge": ("path_of_perm", lambda perm: None),
     "closed-formulas": ("andre_barbier_count", lambda case, params: -1),
     "watermelons": ("brak_essam_counts", lambda x, y, k: (0, 1)),
-    "conjectures": ("conjecture_52_check", lambda n: SimpleNamespace(holds=False, counterexample="n=1")),
+    "conjectures": ("conjecture_check", lambda n: (SimpleNamespace(holds=False, counterexample="n=1"),) * 2),
     "negative-control": ("h_stats", lambda t: (0, 0, 0)),
 }
 
@@ -296,6 +297,44 @@ def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, name):
     assert captured.out.startswith(f"FAIL {name}: ") and captured.out.count("\n") == 1
     assert ": raised " not in captured.out
     assert "Traceback" not in captured.err
+
+
+def planted_conjecture_check(failing):
+    """``conjecture_check`` with the verdicts at the indices ``failing``
+    (0 for 5.2, 1 for 5.3) turned into counterexamples at n = 2."""
+    def check(n):
+        reports = conjecture_check(n)
+        return tuple(
+            ConjectureReport(False, r.regions_checked, "T=NNEE;B=EENN") if n == 2 and i in failing else r
+            for i, r in enumerate(reports)
+        )
+    return check
+
+
+@pytest.mark.parametrize(
+    "failing, what",
+    [
+        ({0}, "distribution equivalence conjecture"),
+        ({1}, "sum-dependence conjecture"),
+        ({0, 1}, "distribution equivalence conjecture"),  # 5.2 is reported first
+    ],
+)
+def test_each_conjecture_verdict_fails_the_suite(capsys, monkeypatch, failing, what):
+    monkeypatch.setattr(verify, "conjecture_check", planted_conjecture_check(failing))
+    assert main(["verify", "--suite", "conjectures", "--max", "3"]) == 1
+    assert capsys.readouterr().out == f"FAIL conjectures: {what} [T=NNEE;B=EENN]\n"
+
+
+def test_check_conjectures_reports_a_counterexample_and_every_n(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "conjecture_check", planted_conjecture_check({1}))
+    code, out = run(capsys, "check-conjectures", "--n", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "equivalences n=1: 1 regions, ok",
+        "equivalences n=2: 3 regions, ok",
+        "sum-dependence n=1: 1 regions, ok",
+        "sum-dependence n=2: 3 regions, COUNTEREXAMPLE T=NNEE;B=EENN",
+    ]
 
 
 def test_run_builds_each_kind_of_result_line(monkeypatch):
@@ -423,7 +462,7 @@ def test_sweeps_write_wall_times_to_stderr(capsys):
     assert main(["check-conjectures", "--n", "2"]) == 0
     lines = capsys.readouterr().err.splitlines()
     assert [re.fullmatch(r"(.*): \d+\.\d\ds", line).group(1) for line in lines] == [
-        "equivalences n=1", "equivalences n=2", "sum-dependence n=1", "sum-dependence n=2",
+        "conjectures n=1", "conjectures n=2",
     ]
 
 

@@ -356,20 +356,6 @@ def test_scan_matches_factorize():
             assert outcome(fn, DYCK22, wrong) == (RegionError, "path and region dimensions differ")
 
 
-def test_swaps_reject_paths_outside_the_region():
-    for region in all_regions(5):
-        for heights in product(range(region.y + 1), repeat=region.x):
-            p = Path(heights, region.y)
-            if contains(region, p):
-                continue
-            for fn in (contact_word, swapall, swap, swap_inv):
-                with pytest.raises(RegionError, match="^path does not lie in the region$"):
-                    fn(region, p)
-    for fn in (contact_word, swapall, swap, swap_inv):
-        with pytest.raises(RegionError, match="^path and region dimensions differ$"):
-            fn(DYCK22, Path((2, 2, 2), 2))
-
-
 def test_unchecked_paths_pass_the_full_checks():
     # enumerate_paths, enumerate_tuples and the swaps build their paths without
     # the checks of Path.__post_init__; each must equal the checked path and lie
