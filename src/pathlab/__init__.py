@@ -26,7 +26,6 @@ from .enumeration import (
 from .tuples import PathTuple, apply_perm_h, h_stats, transpose_h, u_stats, v_stats
 from .matroids import (
     BasesOracle,
-    LinearOrder,
     activities,
     bltr_single_path,
     bltr_tuple_bijection,

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from collections import Counter
+from functools import cache
 
 from .applications import (
     IJReport,
@@ -37,7 +38,6 @@ from .enumeration import (
     path_distribution,
 )
 from .matroids import (
-    LinearOrder,
     active_elements,
     lpm_oracle,
     natural_order,
@@ -238,7 +238,9 @@ def cmd_flagged_schur(args) -> int:
     return 0
 
 
-def _order_from(text: str, m: int) -> LinearOrder:
+def _order_from(text: str, m: int) -> tuple[int, ...]:
+    """The ranking tuple an ``--order`` names; ``perm:`` text is the one
+    order read from outside the program, so it alone is checked here."""
     if text == "natural":
         return natural_order(m)
     if text == "reversed":
@@ -246,10 +248,12 @@ def _order_from(text: str, m: int) -> LinearOrder:
     if text.startswith("perm:"):
         values = text[5:].split(",") if text[5:] else []
         try:
-            order = LinearOrder(tuple(int(v) for v in values))
+            order = tuple(int(v) for v in values)
         except ValueError as exc:
             raise ValueError(f"bad ranking {text[5:]!r}: {exc}") from None
-        if len(order.ranking) != m:
+        if sorted(order) != list(range(1, len(order) + 1)):
+            raise ValueError(f"bad ranking {text[5:]!r}: ranking must be a permutation of 1..m")
+        if len(order) != m:
             raise ValueError(f"ranking must order all {m} ground elements")
         return order
     raise ValueError("order must be natural, reversed, or perm:<ranking>")
@@ -434,7 +438,10 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` may run many times in
+    one process, and building the subparsers costs more than most verbs."""
     parser = argparse.ArgumentParser(
         prog="pathlab",
         description="exact combinatorics of lattice paths between two boundaries",

@@ -7,6 +7,10 @@ paths) by a column transfer, a uniform matroid's from its subsets.  Every
 activity question reads the exchange buckets ``oracle.buckets``; the
 activity polynomial reads their order-free part ``oracle.split``, then
 takes one step per order for each bucket of two or more elements.
+
+An order of the ground set is its ranking tuple, smallest element first:
+``natural_order``, ``reversed_order``, a permutation, or adjacent swaps of
+one.  ``tutte_poly`` refuses a ranking that is not a permutation of 1..m.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .paths import (
     Path,
     Region,
     contains,
+    north_edges,
     north_index_set,
     path_from_north_set,
 )
@@ -67,40 +72,12 @@ class BasesOracle:
         return seed, multi
 
 
-@dataclass(frozen=True)
-class LinearOrder:
-    """ranking[p] is the (p+1)-st smallest ground element."""
-
-    ranking: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        if sorted(self.ranking) != list(range(1, len(self.ranking) + 1)):
-            raise ValueError("ranking must be a permutation of 1..m")
-        object.__setattr__(
-            self,
-            "rank_of",
-            {e: p for p, e in enumerate(self.ranking)},
-        )
-
-    def precedes(self, a: int, b: int) -> bool:
-        return self.rank_of[a] < self.rank_of[b]
-
-    def transpose_adjacent(self, a: int, b: int) -> "LinearOrder":
-        pa, pb = self.rank_of[a], self.rank_of[b]
-        if abs(pa - pb) != 1:
-            raise ValueError("elements are not adjacent in the order")
-        ranking = list(self.ranking)
-        ranking[pa], ranking[pb] = ranking[pb], ranking[pa]
-        return LinearOrder(tuple(ranking))
+def natural_order(m: int) -> tuple[int, ...]:
+    return tuple(range(1, m + 1))
 
 
-def natural_order(m: int) -> LinearOrder:
-    return LinearOrder(tuple(range(1, m + 1)))
-
-
-def reversed_order(m: int) -> LinearOrder:
-    return LinearOrder(tuple(range(m, 0, -1)))
+def reversed_order(m: int) -> tuple[int, ...]:
+    return tuple(range(m, 0, -1))
 
 
 def lpm_oracle(region: Region) -> BasesOracle:
@@ -141,20 +118,20 @@ def _bits(oracle: BasesOracle, base: frozenset[int]) -> int:
 
 
 def active_elements(
-    oracle: BasesOracle, base: frozenset[int], order: LinearOrder
+    oracle: BasesOracle, base: frozenset[int], order: tuple[int, ...]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(internally active, externally active) element sets."""
     bits = _bits(oracle, base)
     buckets = oracle.buckets
     # each element's bit mask of the elements ranked before it
-    below = dict(zip(order.ranking, accumulate((1 << e for e in order.ranking), or_, initial=0)))
+    below = dict(zip(order, accumulate((1 << e for e in order), or_, initial=0)))
     ground = range(1, oracle.ground_size + 1)
     active = frozenset(e for e in ground if buckets[bits ^ 1 << e] & below[e] == 0)
     return active & base, active - base
 
 
 def activities(
-    oracle: BasesOracle, base: frozenset[int], order: LinearOrder
+    oracle: BasesOracle, base: frozenset[int], order: tuple[int, ...]
 ) -> tuple[int, int]:
     internal, external = active_elements(oracle, base, order)
     return len(internal), len(external)
@@ -198,17 +175,18 @@ def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[
     return {(score % radix, score // radix): n for score, n in counts.items()}
 
 
-def tutte_poly(oracle: BasesOracle, order: LinearOrder) -> MultiPoly:
+def tutte_poly(oracle: BasesOracle, order: tuple[int, ...]) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
-    over all bases, read off ``oracle.split``, which every order shares."""
-    if len(order.ranking) != oracle.ground_size:
+    over all bases, read off ``oracle.split``, which every order shares.
+    The order must be a permutation of the ground set 1..m."""
+    if sorted(order) != list(range(1, oracle.ground_size + 1)):
         raise ValueError("the order must rank the whole ground set")
-    return MultiPoly(("x", "y"), activity_terms(oracle, order.ranking))
+    return MultiPoly(("x", "y"), activity_terms(oracle, order))
 
 
 def phi_xy(
     oracle: BasesOracle,
-    order: LinearOrder,
+    order: tuple[int, ...],
     x: int,
     y: int,
     base: frozenset[int],
@@ -217,12 +195,13 @@ def phi_xy(
     x before y in the order: the x-y exchange when it is a base and x is
     active, or y is once moved before x (below the same elements)."""
     bits = _bits(oracle, base)
-    if not order.precedes(x, y) or abs(order.rank_of[x] - order.rank_of[y]) != 1:
+    p = order.index(x)
+    if y not in order[p + 1 : p + 2]:
         raise ValueError("x must immediately precede y in the order")
     x_bucket = oracle.buckets[bits ^ 1 << x]
     if not x_bucket >> y & 1:
         return base
-    before = sum(1 << e for e in order.ranking[: order.rank_of[x]])
+    before = sum(1 << e for e in order[:p])
     if x_bucket & before == 0 or oracle.buckets[bits ^ 1 << y] & before == 0:
         return frozenset(base ^ {x, y})
     return base
@@ -230,8 +209,8 @@ def phi_xy(
 
 def reorder_bijection(
     oracle: BasesOracle,
-    from_order: LinearOrder,
-    to_order: LinearOrder,
+    from_order: tuple[int, ...],
+    to_order: tuple[int, ...],
     base: frozenset[int],
 ) -> frozenset[int]:
     """Compose the adjacent-step bijection along the bubble path between the
@@ -241,25 +220,19 @@ def reorder_bijection(
     _bits(oracle, base)
     cur_order = from_order
     cur_base = base
-    for p in bubble_swaps(from_order.ranking, to_order.rank_of):
-        x, y = cur_order.ranking[p], cur_order.ranking[p + 1]
+    for p in bubble_swaps(from_order, to_order):
+        x, y = cur_order[p], cur_order[p + 1]
         cur_base = phi_xy(oracle, cur_order, x, y, cur_base)
-        cur_order = cur_order.transpose_adjacent(x, y)
+        cur_order = (*cur_order[:p], y, x, *cur_order[p + 2 :])
     if cur_order != to_order:
         raise InvariantError("the bubble steps did not reach the target order")
     return cur_base
 
 
 def left_contact_positions(region: Region, path: Path) -> frozenset[int]:
-    """String positions of the north steps shared with the top boundary.
-    At x = c the path's north run [h_c, h_{c+1}) and the top's [t_c, t_{c+1})
-    (with h_0 = t_0 = 0 and y after the last column) overlap in the steps
-    from height v to v + 1, at position c + v + 1."""
-    h, t = path.heights, region.t_heights
-    runs = zip((0, *h), (*h, path.y), (0, *t), (*t, region.y))
-    return frozenset(
-        c + v + 1 for c, (hp, hn, tp, tn) in enumerate(runs) for v in range(max(hp, tp), min(hn, tn))
-    )
+    """String positions of the north steps shared with the top boundary:
+    the edge from (c, v) to (c, v + 1) is step c + v + 1."""
+    return frozenset(c + v + 1 for c, v in north_edges(path) & north_edges(region.top))
 
 
 def bottom_contact_positions(region: Region, path: Path) -> frozenset[int]:

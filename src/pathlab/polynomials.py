@@ -5,7 +5,8 @@ A polynomial is the container for joint distributions of statistics and
 weight polynomials: it stores, compares, renames and prints them, and does
 no arithmetic; each kernel sums its own terms.  Exponent vectors are dense,
 with one slot per variable; the variable order is part of the polynomial's
-identity, but equality aligns by variable name.
+identity: two polynomials are equal when their variable lists and their
+terms are.
 """
 
 from __future__ import annotations
@@ -28,20 +29,6 @@ class MultiPoly:
             if coef != 0:
                 cleaned[tuple(exp)] = coef
         object.__setattr__(self, "terms", cleaned)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        if self.variables == other.variables:
-            return self.terms == other.terms
-        if set(self.variables) != set(other.variables):
-            return False
-        return self.terms == other.with_variable_order(self.variables).terms
-
-    def __hash__(self):
-        # Equality aligns by variable name, so hash one canonical order.
-        canonical = self.with_variable_order(sorted(self.variables))
-        return hash((canonical.variables, frozenset(canonical.terms.items())))
 
     def with_variable_order(self, variables) -> "MultiPoly":
         variables = tuple(variables)

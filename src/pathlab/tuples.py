@@ -98,10 +98,11 @@ def transpose_h(t: PathTuple, i: int) -> PathTuple:
     return image
 
 
-def bubble_swaps(items, rank) -> list[int]:
-    """Positions p of the adjacent swaps (entries p and p+1) that sort
-    ``items`` by ``rank[item]``, each swapping the leftmost pair out of
-    order."""
+def bubble_swaps(items, target) -> list[int]:
+    """Positions p of the adjacent swaps (entries p and p+1) that take
+    ``items`` to the ranking ``target``, the same items listed in their
+    wanted order, each swapping the leftmost pair out of that order."""
+    rank = {item: p for p, item in enumerate(target)}
     cur = list(items)
     out = []
     p = 0
@@ -126,9 +127,8 @@ def apply_perm_h(t: PathTuple, perm) -> PathTuple:
     if sorted(perm) != list(range(t.k + 1)):
         raise ValueError("perm must be a permutation of 0..k")
     original = h_stats(t)
-    target = {idx: pos for pos, idx in enumerate(perm)}
     image = t
-    for p in bubble_swaps(range(t.k + 1), target):
+    for p in bubble_swaps(range(t.k + 1), perm):
         image = transpose_h(image, p + 1)
     if h_stats(image) != tuple(original[i] for i in perm):
         raise InvariantError("composed transpositions did not permute the coincidence vector")

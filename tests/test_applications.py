@@ -321,9 +321,7 @@ def test_returns_of_the_bottom_walk_are_its_bottom_contacts():
     assert cases == 5403
 
 
-def test_watermelon_verb_accepts_exactly_the_configurations(monkeypatch):
-    # one parser for all 5,061 runs: building it costs more than the verb
-    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+def test_watermelon_verb_accepts_exactly_the_configurations():
     steps = {"U": 1, "D": -1}
     texts = [
         ";".join(words)

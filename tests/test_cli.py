@@ -165,6 +165,26 @@ def test_empty_ranking_on_a_nonempty_ground_set_is_usage_error(capsys, verb):
     assert captured.err == "error: ranking must order all 4 ground elements\n"
 
 
+@pytest.mark.parametrize(
+    "ranking, message",
+    [
+        ("1,1,2,3", "bad ranking '1,1,2,3': ranking must be a permutation of 1..m"),
+        ("0,1,2,3", "bad ranking '0,1,2,3': ranking must be a permutation of 1..m"),
+        ("2,3,4,5", "bad ranking '2,3,4,5': ranking must be a permutation of 1..m"),
+        ("1,x", "bad ranking '1,x': invalid literal for int() with base 10: 'x'"),
+        ("1,2", "ranking must order all 4 ground elements"),
+        ("1,2,3,4,5", "ranking must order all 4 ground elements"),
+    ],
+)
+def test_perm_ranking_is_checked_as_input(capsys, ranking, message):
+    """``perm:`` text is the one order read from outside the program: a
+    ranking that is not a permutation of 1..m is a usage error."""
+    assert main(["tutte", "--T", "NNEE", "--B", "ENEN", "--order", f"perm:{ranking}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_activities_empty_base_on_rank_zero_region(capsys):
     code, out = run(capsys, "activities", "--T", "EE", "--B", "EE", "--base", "")
     assert code == 0
@@ -272,7 +292,7 @@ PLANTED_FAULTS = {
     "contact-involution": ("swapall", lambda region, path: path),
     "tuple-symmetry": ("lgv_count", lambda region, k: -1),
     "tutte-orders": ("path_distribution", lambda region, names: MultiPoly(("x", "y"), {})),
-    "activity-reorder": ("activities", lambda oracle, base, order: order.ranking),
+    "activity-reorder": ("activities", lambda oracle, base, order: order),
     "activity-contacts": ("left_contact_positions", lambda region, path: None),
     "bltr-tuples": ("bltr_tuple_bijection", lambda t: t),
     "tableau-bijection": ("psi_inv", lambda tab: None),

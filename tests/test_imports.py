@@ -123,3 +123,39 @@ def test_no_unused_import():
         if names
     }
     assert not unused, unused
+
+
+def undeclared_attributes(tree: ast.Module) -> tuple[set[str], list[str]]:
+    """The classes that call ``object.__setattr__``, and each such call
+    whose attribute is not a string naming one of the class's annotated
+    fields."""
+    setters, undeclared = set(), []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = {
+            stmt.target.id
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                setters.add(cls.name)
+                name = node.args[1]
+                if not (isinstance(name, ast.Constant) and name.value in fields):
+                    undeclared.append(f"{cls.name} (line {node.lineno}) sets {ast.unparse(name)}")
+    return setters, undeclared
+
+
+def test_no_state_outside_the_declared_fields():
+    """A frozen class sets its fields through ``object.__setattr__``; every
+    such call names one of the class's annotated fields, so no attribute
+    hides from its repr, equality and hash."""
+    setters, undeclared = set(), {}
+    for source in PACKAGE:
+        found, names = undeclared_attributes(ast.parse(source.read_text(), str(source)))
+        setters |= found
+        if names:
+            undeclared[source.stem] = names
+    assert {"Path", "Region", "PathTuple", "YoungShape", "Tableau", "MultiPoly"} <= setters
+    assert not undeclared, undeclared
