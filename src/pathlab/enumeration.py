@@ -90,15 +90,17 @@ def enumerate_tuples(region: Region, k: int) -> Iterator[PathTuple]:
     """Yield the weakly nested k-tuples of monotone paths, ordered
     lexicographically by concatenated height vectors.  For k = 0 that is
     the one empty tuple.  Each path's heights come from
-    ``_height_sequences`` below the path above, so the paths skip the
-    checks of ``Path``; ``PathTuple`` still checks the tuple."""
+    ``_height_sequences`` between the bottom boundary and the path above
+    (the top boundary for the first path), so every path is monotone, lies
+    in the region and is weakly below the one before it: the paths skip the
+    checks of ``Path`` and the tuples those of ``PathTuple``."""
     if k < 0:
         raise ValueError("k must be at least 0")
     lo, y = region.b_heights, region.y
 
     def rec_tuple(level: int, upper: tuple[int, ...], acc: tuple[Path, ...]):
         if level == k:
-            yield PathTuple(region, acc)
+            yield PathTuple._of(region, acc)
             return
         for heights in _height_sequences(lo, upper):
             yield from rec_tuple(level + 1, heights, acc + (Path._of(heights, y),))
@@ -177,8 +179,10 @@ def path_distribution(
     for hp, prefixes in state.items():
         gain = wl * (y - (hp if hp > tp else tp)) + wr * (y - hp)
         _shift_into(packed, prefixes, gain)
+    # every count is positive and the packing is one-to-one, so the terms
+    # need none of the checks of ``MultiPoly``
     terms = {tuple([code // place % radix for place in places]): n for code, n in packed.items()}
-    return MultiPoly(variables, terms)
+    return MultiPoly._of(variables, terms)
 
 
 def _shift_into(target: dict[int, int], counts: dict[int, int], gain: int) -> None:

@@ -178,10 +178,12 @@ def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[
 def tutte_poly(oracle: BasesOracle, order: tuple[int, ...]) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
     over all bases, read off ``oracle.split``, which every order shares.
-    The order must be a permutation of the ground set 1..m."""
+    The order must be a permutation of the ground set 1..m.  Every count
+    of ``activity_terms`` is positive, so the polynomial skips the checks
+    of ``MultiPoly``."""
     if sorted(order) != list(range(1, oracle.ground_size + 1)):
         raise ValueError("the order must rank the whole ground set")
-    return MultiPoly(("x", "y"), activity_terms(oracle, order))
+    return MultiPoly._of(("x", "y"), activity_terms(oracle, order))
 
 
 def phi_xy(

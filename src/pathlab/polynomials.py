@@ -17,6 +17,17 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class MultiPoly:
+    """Terms map exponent tuples, one entry per variable, to nonzero
+    coefficients.
+
+    ``MultiPoly(...)`` checks what it is given: it turns the variables and
+    each exponent into tuples, refuses an exponent of the wrong length and
+    drops the zero coefficients, into a dict of its own.  ``MultiPoly._of``
+    skips all of that, for kernels whose terms hold those properties by
+    construction: ``path_distribution``, ``tutte_poly`` and the renamings
+    below.
+    """
+
     variables: tuple[str, ...]
     terms: dict[tuple[int, ...], int] = field(default_factory=dict)
 
@@ -30,12 +41,23 @@ class MultiPoly:
                 cleaned[tuple(exp)] = coef
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """A polynomial whose variables are a tuple and whose terms map
+        exponent tuples of their length to nonzero coefficients, in a dict
+        that nothing changes afterwards: the checks of ``__post_init__`` are
+        skipped.  For trusted callers only."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def with_variable_order(self, variables) -> "MultiPoly":
         variables = tuple(variables)
         idx = [self.variables.index(v) for v in variables]
-        return MultiPoly(
+        return MultiPoly._of(
             variables,
-            {tuple(exp[i] for i in idx): coef for exp, coef in self.terms.items()},
+            {tuple([exp[i] for i in idx]): coef for exp, coef in self.terms.items()},
         )
 
     def permute_variables(self, perm: dict[str, str]) -> "MultiPoly":
@@ -47,7 +69,7 @@ class MultiPoly:
         renamed = tuple(perm.get(v, v) for v in self.variables)
         if set(renamed) != set(self.variables):
             raise ValueError("not a permutation of the polynomial's variables")
-        return MultiPoly(renamed, dict(self.terms)).with_variable_order(self.variables)
+        return MultiPoly._of(renamed, self.terms).with_variable_order(self.variables)
 
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())

@@ -31,6 +31,16 @@ class PathTuple:
             if any(a < b for a, b in zip(upper.heights, lower.heights)):
                 raise ValueError("paths are not weakly nested")
 
+    @classmethod
+    def _of(cls, region: Region, paths: tuple[Path, ...]) -> "PathTuple":
+        """A tuple whose paths, a tuple, are known to be monotone paths of
+        the region, each weakly above the next: the checks of
+        ``__post_init__`` are skipped.  For trusted callers only."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "region", region)
+        object.__setattr__(t, "paths", paths)
+        return t
+
     @property
     def k(self) -> int:
         return len(self.paths)

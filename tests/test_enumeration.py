@@ -16,9 +16,10 @@ from pathlab.enumeration import (
     lgv_count,
     path_distribution,
 )
+from pathlab.matroids import lpm_oracle, natural_order, reversed_order, tutte_poly
 from pathlab.paths import Path, Region, contact_stats, parse_path
 from pathlab.polynomials import MultiPoly
-from pathlab.tuples import _inner_region
+from pathlab.tuples import PathTuple, _inner_region
 from pathlab.verify import all_regions
 
 from oracles import parse_poly, rectangle
@@ -97,6 +98,46 @@ def test_unchecked_regions_pass_the_full_checks():
     for region in built:
         t, b = region.top, region.bottom
         assert Region(Path(t.heights, t.y), Path(b.heights, b.y)) == region
+
+
+def rebuilt(obj):
+    """The tuple or polynomial built again through its checked constructor."""
+    if isinstance(obj, PathTuple):
+        return PathTuple(obj.region, obj.paths)
+    return MultiPoly(obj.variables, obj.terms)
+
+
+def test_unchecked_tuples_pass_the_full_checks():
+    # enumerate_tuples builds its tuples with PathTuple._of
+    cases = [t for region in all_regions(5) for k in range(4) for t in enumerate_tuples(region, k)]
+    assert len(cases) == 5053
+    for t in cases:
+        assert rebuilt(t) == t
+
+
+def test_unchecked_polynomials_pass_the_full_checks():
+    # path_distribution, tutte_poly and the renamings build their
+    # polynomials with MultiPoly._of
+    polys = []
+    for region in all_regions(6):
+        for pair in product(CONTACT_STATS, repeat=2):
+            for south_allowed in (False, True):
+                p = path_distribution(region, list(pair), south_allowed)
+                polys += [p, p.permute_variables({"x": "y", "y": "x"}), p.with_variable_order("yx")]
+        oracle, m = lpm_oracle(region), region.x + region.y
+        polys += [tutte_poly(oracle, natural_order(m)), tutte_poly(oracle, reversed_order(m))]
+    assert len(polys) == 625 * (16 * 2 * 3 + 2)
+    for p in polys:
+        q = rebuilt(p)
+        assert q == p and q.to_json() == p.to_json(), p
+
+
+def test_the_rebuild_catches_planted_faults():
+    r = Region.from_steps("NE", "EN")
+    with pytest.raises(ValueError, match="not weakly nested"):
+        rebuilt(PathTuple._of(r, (parse_path("EN"), parse_path("NE"))))
+    zero = MultiPoly._of(("x", "y"), {(1, 0): 0, (0, 1): 2})
+    assert rebuilt(zero) != zero and rebuilt(zero).to_json() != zero.to_json()
 
 
 def test_all_regions_share_one_path_per_height_vector():

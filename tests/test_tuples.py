@@ -10,6 +10,7 @@ from pathlab.paths import Path, Region, contact_stats, descent_set, noncontact_h
 from pathlab.matroids import bltr_single_path, bltr_tuple_bijection
 from pathlab.tuples import (
     PathTuple,
+    _replace,
     apply_perm_h,
     h_stats,
     transpose_h,
@@ -44,6 +45,15 @@ def test_nesting_validation():
     r = Region.from_steps("NE", "EN")
     with pytest.raises(ValueError):
         PathTuple(r, (parse_path("EN"), parse_path("NE")))
+
+
+def test_replace_keeps_the_checks():
+    # the paper's maps hand _replace the paths they compute, so the tuple it
+    # builds goes through every check of PathTuple
+    with pytest.raises(ValueError, match="not weakly nested"):
+        _replace(WIDE_PAIR, 2, WIDE.top)
+    with pytest.raises(ValueError, match="leaves the region"):
+        _replace(WIDE_PAIR, 1, Path((7,) * 10, 7))
 
 
 def test_h_stats_wide_pair():
