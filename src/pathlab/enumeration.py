@@ -6,10 +6,10 @@ region and list no path."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator
 
-from .paths import Path, Region, vertices
+from .paths import Path, Region
 from .polynomials import MultiPoly, int_determinant
 from .tuples import PathTuple
 
@@ -139,7 +139,11 @@ def path_distribution(
     and each h in [b_j, t_j] takes a copy raised by its t and b terms.
     With south steps a second sweep, from high to low, adds the prefixes
     above h, whose runs are empty.  After the last column the final runs up
-    to y add to l and r, and the exponents are unpacked once.
+    to y add to l and r, and the exponents are unpacked once, in ascending
+    order of their codes.  That is the lexicographic order of the exponent
+    vectors, so the sort in ``to_json`` runs on presorted terms.  With two
+    letters one ``divmod`` by the radix unpacks a code; other lengths take
+    one division per place.
     """
     if len(stat_names) > len(VAR_NAMES):
         raise ValueError(f"at most {len(VAR_NAMES)} statistics, one per variable name")
@@ -181,7 +185,11 @@ def path_distribution(
         _shift_into(packed, prefixes, gain)
     # every count is positive and the packing is one-to-one, so the terms
     # need none of the checks of ``MultiPoly``
-    terms = {tuple([code // place % radix for place in places]): n for code, n in packed.items()}
+    codes = sorted(packed)
+    if len(places) == 2:
+        terms = {divmod(code, radix): packed[code] for code in codes}
+    else:
+        terms = {tuple([code // place % radix for place in places]): packed[code] for code in codes}
     return MultiPoly._of(variables, terms)
 
 
@@ -196,24 +204,6 @@ def _shift_into(target: dict[int, int], counts: dict[int, int], gain: int) -> No
             target[code] = target.get(code, 0) + count
 
 
-def _count_paths_avoiding(
-    start: tuple[int, int], end: tuple[int, int], forbidden: frozenset[tuple[int, int]]
-) -> int:
-    (sx, sy), (ex, ey) = start, end
-    if ex < sx or ey < sy:
-        return 0
-    counts = {start: 0 if start in forbidden else 1}
-    for px in range(sx, ex + 1):
-        for py in range(sy, ey + 1):
-            if (px, py) == start:
-                continue
-            if (px, py) in forbidden:
-                counts[(px, py)] = 0
-                continue
-            counts[(px, py)] = counts.get((px - 1, py), 0) + counts.get((px, py - 1), 0)
-    return counts[end]
-
-
 def lgv_count(region: Region, k: int) -> int:
     """Number of weakly nested k-tuples, as a k-by-k determinant.
 
@@ -223,19 +213,33 @@ def lgv_count(region: Region, k: int) -> int:
     steps.  Entry (i, j) counts single paths from (j, -j) to
     (x + i, y - i) avoiding those two vertex sets.  With k = 0 the matrix
     is empty and its determinant, 1, counts the one empty tuple.
+
+    A path from (j, -j) starts below the top and left of the shifted
+    bottom, so one that meets neither stays strictly between them: in
+    column c above the shifted bottom's run, whose highest point is
+    b_{c-k} - k - 1, and below the top's, whose lowest is t_c.  So one
+    transfer per start j counts every end: it holds one path at height -j
+    in column j, and each column up to x + k keeps the counts at its
+    allowed heights and replaces them by their running sums, which adds
+    every north run inside the column.  The ends are read off columns
+    x + 1 .. x + k at heights y - 1 .. y - k; an end left of the start
+    column counts 0.
     """
     if k < 0:
         raise ValueError("k must be a natural number")
     x, y = region.x, region.y
-    shift = k + 1
-    forbidden = frozenset(vertices(region.top)) | frozenset(
-        (px + shift, py - shift) for px, py in vertices(region.bottom)
-    )
-    matrix = [
-        [
-            _count_paths_avoiding((j, -j), (x + i, y - i), forbidden)
-            for j in range(1, k + 1)
-        ]
-        for i in range(1, k + 1)
-    ]
+    tops, bottoms = region.t_heights, region.b_heights
+    # heights -k .. y - 1, at indices 0 .. y + k - 1: no end lies higher
+    size = y + k
+    matrix = [[0] * k for _ in range(k)]
+    for j in range(1, k + 1):
+        counts = [0] * size
+        counts[k - j] = 1
+        for c in range(j, x + k + 1):
+            lo = bottoms[c - k - 1] if c > k else 0
+            hi = tops[c - 1] + k if c <= x else size
+            inside = list(accumulate(counts[lo:hi]))
+            counts = [0] * lo + inside + [0] * (size - lo - len(inside))
+            if c > x:
+                matrix[c - x - 1][j - 1] = counts[y - (c - x) + k]
     return int_determinant(matrix)

@@ -158,17 +158,32 @@ def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[
     """Counts of (internal, external) activity pairs over the oracle's
     bases, under the order listing ``ranking`` smallest first: one step per
     bucket of two or more elements, which credits its least element under
-    the order on top of the scores in ``oracle.split``."""
+    the order on top of the scores in ``oracle.split``.
+
+    Under ``natural_order(m)`` a bucket's least element is its lowest set
+    bit, ``bucket & -bucket``, and under ``reversed_order(m)`` its highest;
+    any other ranking scans its bits, smallest first, for the first one in
+    the bucket."""
     seed, multi = oracle.split
-    radix = oracle.ground_size + 1
-    bits_in_order = [1 << e for e in ranking]
+    m = oracle.ground_size
+    radix = m + 1
     scores = seed.copy()
-    for key, bucket in multi:
-        for least in bits_in_order:
-            if bucket & least:
-                break
-        base = key ^ least
-        scores[base] += 1 if base > key else radix
+    if ranking == natural_order(m):
+        for key, bucket in multi:
+            base = key ^ bucket & -bucket
+            scores[base] += 1 if base > key else radix
+    elif ranking == reversed_order(m):
+        for key, bucket in multi:
+            base = key ^ 1 << bucket.bit_length() - 1
+            scores[base] += 1 if base > key else radix
+    else:
+        bits_in_order = [1 << e for e in ranking]
+        for key, bucket in multi:
+            for least in bits_in_order:
+                if bucket & least:
+                    break
+            base = key ^ least
+            scores[base] += 1 if base > key else radix
     counts: dict[int, int] = {}
     for score in scores.values():
         counts[score] = counts.get(score, 0) + 1

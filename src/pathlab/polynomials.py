@@ -53,7 +53,14 @@ class MultiPoly:
         return poly
 
     def with_variable_order(self, variables) -> "MultiPoly":
+        """The same polynomial over its variables listed in a new order,
+        each exponent moved with its variable.  A list that is not a
+        permutation of the polynomial's own variables raises
+        ``ValueError``: one that drops or repeats a variable would merge
+        or split terms."""
         variables = tuple(variables)
+        if sorted(variables) != sorted(self.variables):
+            raise ValueError("not a permutation of the polynomial's variables")
         idx = [self.variables.index(v) for v in variables]
         return MultiPoly._of(
             variables,

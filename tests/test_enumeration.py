@@ -17,8 +17,8 @@ from pathlab.enumeration import (
     path_distribution,
 )
 from pathlab.matroids import lpm_oracle, natural_order, reversed_order, tutte_poly
-from pathlab.paths import Path, Region, contact_stats, parse_path
-from pathlab.polynomials import MultiPoly
+from pathlab.paths import Path, Region, contact_stats, parse_path, vertices
+from pathlab.polynomials import MultiPoly, int_determinant
 from pathlab.tuples import PathTuple, _inner_region
 from pathlab.verify import all_regions
 
@@ -224,6 +224,7 @@ def test_path_distribution_matches_per_path_count():
                 expected = enumerated_distribution(region, names, south)
                 assert got == expected, (region, names, south)
                 assert got.variables == expected.variables
+                assert list(got.terms) == sorted(got.terms)
                 cases += 1
     assert cases == 106860
 
@@ -283,6 +284,52 @@ def test_lgv_examples():
     assert lgv_count(SMALL, 1) == 15
     fan = Region.from_steps("NNEE", "ENEN")
     assert lgv_count(fan, 2) == sum(1 for _ in enumerate_tuples(fan, 2))
+
+
+def _count_paths_avoiding(
+    start: tuple[int, int], end: tuple[int, int], forbidden: frozenset[tuple[int, int]]
+) -> int:
+    (sx, sy), (ex, ey) = start, end
+    if ex < sx or ey < sy:
+        return 0
+    counts = {start: 0 if start in forbidden else 1}
+    for px in range(sx, ex + 1):
+        for py in range(sy, ey + 1):
+            if (px, py) == start:
+                continue
+            if (px, py) in forbidden:
+                counts[(px, py)] = 0
+                continue
+            counts[(px, py)] = counts.get((px - 1, py), 0) + counts.get((px, py - 1), 0)
+    return counts[end]
+
+
+def vertex_set_lgv_count(region: Region, k: int) -> int:
+    """The oracle for ``lgv_count``: each of the k * k entries by its own
+    grid walk from (j, -j) to (x + i, y - i) that skips the forbidden
+    vertex sets outright."""
+    x, y = region.x, region.y
+    shift = k + 1
+    forbidden = frozenset(vertices(region.top)) | frozenset(
+        (px + shift, py - shift) for px, py in vertices(region.bottom)
+    )
+    matrix = [
+        [
+            _count_paths_avoiding((j, -j), (x + i, y - i), forbidden)
+            for j in range(1, k + 1)
+        ]
+        for i in range(1, k + 1)
+    ]
+    return int_determinant(matrix)
+
+
+def test_lgv_matches_the_vertex_set_oracle():
+    cases = 0
+    for region in all_regions(7):
+        for k in range(5):
+            assert lgv_count(region, k) == vertex_set_lgv_count(region, k), (str(region), k)
+            cases += 1
+    assert cases == 5 * 2055
 
 
 def test_lgv_counts_the_empty_tuple():

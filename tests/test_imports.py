@@ -1,5 +1,10 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
+from types import SimpleNamespace
+
+from pathlab import paths
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = sorted((ROOT / "src" / "pathlab").glob("*.py"))
@@ -18,6 +23,7 @@ ENTRY_POINTS = [ROOT / "src" / "pathlab" / "cli.py"] + sorted(
 # The paper's constructive maps: no verb, sweep or workload calls them yet,
 # but they are what the paper defines, so they stay in the library.
 PAPER_MAPS = {"swap", "swap_inv", "transpose_h", "apply_perm_h"}
+BENCHMARK = ROOT / "perfbench"
 
 
 def test_no_import_inside_a_function():
@@ -161,3 +167,58 @@ def test_no_state_outside_the_declared_fields():
             undeclared[source.stem] = names
     assert {"Path", "Region", "PathTuple", "YoungShape", "Tableau", "MultiPoly"} <= setters
     assert not undeclared, undeclared
+
+
+def instrumented() -> list[tuple[str, str, str, bool]]:
+    """``perfbench/spans.py``'s ``INSTRUMENTED`` list, read without
+    importing the benchmark."""
+    tree = ast.parse((BENCHMARK / "spans.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "INSTRUMENTED":
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("spans.py assigns no INSTRUMENTED list")
+
+
+def cleared_caches() -> list[str]:
+    """The ``paths`` attributes whose ``cache_clear()`` the benchmark's
+    ``clear_caches`` calls."""
+    tree = ast.parse((BENCHMARK / "workloads.py").read_text())
+    (func,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "clear_caches"]
+    return [
+        node.func.value.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "cache_clear"
+        and isinstance(node.func.value, ast.Attribute)
+        and ast.unparse(node.func.value.value) == "paths"
+    ]
+
+
+def uncleared(module, names: list[str]) -> list[str]:
+    return [name for name in names if not hasattr(getattr(module, name, None), "cache_clear")]
+
+
+def test_benchmark_instruments_library_functions():
+    """Every function the traced benchmark wraps exists in pathlab, is
+    callable, and is a generator function exactly when its flag says so;
+    a renamed or removed one would make every traced run fail."""
+    listed = instrumented()
+    assert listed
+    wrong = []
+    for module, attribute, _, is_generator in listed:
+        func = getattr(importlib.import_module(f"pathlab.{module}"), attribute, None)
+        if not callable(func) or inspect.isgeneratorfunction(func) != is_generator:
+            wrong.append(f"{module}.{attribute}")
+    assert not wrong, wrong
+
+
+def test_benchmark_clears_caches_that_exist():
+    """Every ``paths.<name>.cache_clear()`` in the benchmark's
+    ``clear_caches`` names a cached function of ``paths``; without one,
+    every benchmark run fails before its first pass."""
+    names = cleared_caches()
+    assert "vertices" in names
+    assert not uncleared(paths, names)
+    without_vertices = SimpleNamespace(**{k: v for k, v in vars(paths).items() if k != "vertices"})
+    assert uncleared(without_vertices, names) == ["vertices"]

@@ -1,5 +1,6 @@
 from math import prod
 
+import pytest
 from hypothesis import given, strategies as st
 
 from pathlab.polynomials import MultiPoly, int_determinant
@@ -18,6 +19,21 @@ def test_no_zero_terms_stored():
 def test_permute_variables():
     p = xy({(2, 1): 1})
     assert p.permute_variables({"x": "y", "y": "x"}) == xy({(1, 2): 1})
+
+
+def test_with_variable_order_moves_each_exponent_with_its_variable():
+    p = xy({(2, 1): 1, (0, 3): 5})
+    assert p.with_variable_order("yx") == MultiPoly(("y", "x"), {(1, 2): 1, (3, 0): 5})
+    assert p.with_variable_order(("x", "y")) == p
+
+
+def test_with_variable_order_refuses_a_non_permutation():
+    # a dropped variable would merge (1, 0) and (1, 1); a repeated one
+    # would split every exponent
+    p = xy({(1, 0): 1, (1, 1): 2})
+    for variables in [("x",), ("x", "x", "y"), ("x", "z"), ("x", "y", "z"), ()]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            p.with_variable_order(variables)
 
 
 def test_json_sorts_terms():
