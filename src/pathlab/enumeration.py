@@ -6,7 +6,9 @@ region and list no path."""
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, product
+from math import comb, prod
 from typing import Iterator
 
 from .paths import Path, Region
@@ -119,46 +121,135 @@ def path_distribution(
     order given.
 
     A transfer matrix over columns (Stanley, EC1 4.7), so no path is
-    listed.  An exponent vector is packed into one integer in radix
-    x + y + 1, which no statistic reaches, the first letter most
-    significant; a repeated letter adds to each of its places.  The state
-    maps each height h_prev of the previous column to the counts, by packed
-    exponents, of the prefixes ending there.  Column j moves to every
-    height h in [b_j, t_j], and without south steps only to h >= h_prev.
-    Each move adds, at the letters' places, the column's terms of
-    ``paths.contact_stats``: 1 to t if h == t_j, 1 to b if h == b_j, and
-    the overlaps of the north run [h_prev, h) with the top's run
-    [t_{j-1}, t_j) to l and with the bottom's run [b_{j-1}, b_j) to r.
+    listed.  An exponent vector is packed into one integer code, the first
+    letter most significant; a repeated letter adds to each of its places.
+    Column j moves every prefix ending at height h_prev to every height h in
+    [b_j, t_j], and without south steps only to h >= h_prev.  Each move
+    adds, at the letters' places, the column's terms of
+    ``paths.contact_stats``: 1 to t if h == t_j, 1 to b if h == b_j, and the
+    overlaps of the north run [h_prev, h) with the top's run [t_{j-1}, t_j)
+    to l and with the bottom's run [b_{j-1}, b_j) to r.  After the last
+    column the final runs up to y add to l and r.
 
-    The r term, max(0, b_j - h_prev), depends on h_prev alone, and the l
-    term, max(0, h - max(h_prev, t_{j-1})), grows by one with each height
-    above t_{j-1} for every h_prev <= h.  So one sweep of the heights from
-    low to high keeps a running sum of the prefixes at every h_prev <= h:
-    a prefix enters it raised by its r term, the whole sum is raised by the
-    l weight at each step above t_{j-1} (held as an offset, ``raised``),
-    and each h in [b_j, t_j] takes a copy raised by its t and b terms.
-    With south steps a second sweep, from high to low, adds the prefixes
-    above h, whose runs are empty.  After the last column the final runs up
-    to y add to l and r, and the exponents are unpacked once, in ascending
-    order of their codes.  That is the lexicographic order of the exponent
-    vectors, so the sort in ``to_json`` runs on presorted terms.  With two
-    letters one ``divmod`` by the radix unpacks a code; other lengths take
-    one division per place.
+    The codes take a mixed radix, x + 1 for t or b and y + 1 for l or r
+    (no statistic reaches its radix).  When that code space is at most
+    (x + 1)(y + 1), ``_dense_terms`` holds each height's polynomial as one
+    integer (Kronecker substitution); above it (same-axis pairs on
+    elongated regions, most requests of three or more letters) most codes
+    never occur, and ``_sparse_terms`` holds a dict of codes in the radix
+    x + y + 1.  The rule reads only the letters and x, y.  Either way the
+    terms come out in ascending order of their codes, which is the
+    lexicographic order of the exponent vectors, so the sort in ``to_json``
+    runs on presorted terms.  Every count is positive and the packing is
+    one-to-one, so the terms need none of the checks of ``MultiPoly``.
     """
     if len(stat_names) > len(VAR_NAMES):
         raise ValueError(f"at most {len(VAR_NAMES)} statistics, one per variable name")
-    variables = VAR_NAMES[: len(stat_names)]
     slots = [CONTACT_STATS.index(name) for name in stat_names]
-    y = region.y
-    radix = region.x + y + 1
-    places = [radix**p for p in reversed(range(len(slots)))]
+    x, y = region.x, region.y
+    radices = [x + 1 if slot < 2 else y + 1 for slot in slots]
+    dense = prod(radices) <= (x + 1) * (y + 1)
+    if not dense:
+        radices = [x + y + 1] * len(slots)
     weights = [0, 0, 0, 0]
-    for slot, place in zip(slots, places):
+    place = 1
+    for slot, radix in zip(reversed(slots), reversed(radices)):
         weights[slot] += place
+        place *= radix
+    if dense:
+        terms = _dense_terms(region, weights, radices, south_allowed)
+    else:
+        terms = _sparse_terms(region, weights, radices, south_allowed)
+    return MultiPoly._of(VAR_NAMES[: len(slots)], terms)
+
+
+# memoryview formats of unsigned native integers, by their width in bytes
+_CAST_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _dense_terms(
+    region: Region, weights: list[int], radices: list[int], south_allowed: bool
+) -> dict[tuple[int, ...], int]:
+    """The terms of ``path_distribution`` with each height's polynomial held
+    as one integer.
+
+    The count of code c sits in bits [c*8W, (c+1)*8W), with W the whole
+    bytes of the region's path count (C(x + y, x), or the product of the
+    column spans with south steps).  No prefix count, running sum or
+    coefficient exceeds it, so no coefficient carries into the next, and
+    adding a term's weight to every code is one left shift.  The state maps
+    each height h_prev of the previous column to its prefixes.  The r term,
+    max(0, b_j - h_prev), depends on h_prev alone, and the l term,
+    max(0, h - max(h_prev, t_{j-1})), grows by one with each height above
+    t_{j-1} for every h_prev <= h.  So one sweep of the heights from low to
+    high keeps a running sum of the prefixes at every h_prev <= h: a prefix
+    enters it shifted by its r term, the whole sum shifts by the l weight at
+    each step above t_{j-1}, and each h in [b_j, t_j] takes a copy shifted
+    by its t and b terms.  With south steps a second sweep, from high to
+    low, adds the prefixes above h, whose runs are empty.  The coefficients
+    are unpacked once through ``int.to_bytes``, as a ``memoryview`` cast
+    when W is 1, 2, 4 or 8, and ``itertools.product`` over the radices
+    lists the exponent vectors in the same code order.
+    """
+    x, y = region.x, region.y
+    tops, bottoms = region.t_heights, region.b_heights
+    paths = prod(t - b + 1 for t, b in zip(tops, bottoms)) if south_allowed else comb(x + y, x)
+    width = (paths.bit_length() + 7) // 8
+    bits = 8 * width
+    st, sb, sl, sr = [w * bits for w in weights]
+    state = {0: 1}
+    tp = bp = 0
+    for th, bh in zip(tops, bottoms):
+        nxt: dict[int, int] = {}
+        running = 0
+        # the previous column's heights are [bp, tp], every one reached
+        for h in range(bp, th + 1):
+            if h > tp:
+                running <<= sl
+            else:
+                running += state[h] << sr * (bh - h) if bh > h else state[h]
+            if h >= bh:
+                shift = (st if h == th else 0) + (sb if h == bh else 0)
+                nxt[h] = running << shift
+        if south_allowed:
+            above = 0
+            for h in range(tp, bh, -1):
+                above += state[h]
+                # h - 1 < t_{j-1} <= t_j, so only the b term can apply
+                nxt[h - 1] += above << sb if h - 1 == bh else above
+        state = nxt
+        tp, bp = th, bh
+    total = 0
+    for hp, prefixes in state.items():
+        total += prefixes << sl * (y - (hp if hp > tp else tp)) + sr * (y - hp)
+    raw = total.to_bytes(-(-total.bit_length() // bits) * width, sys.byteorder)
+    if width in _CAST_FORMATS:
+        counts = memoryview(raw).cast(_CAST_FORMATS[width])
+    else:
+        starts = range(0, len(raw), width)
+        counts = [int.from_bytes(raw[i : i + width], sys.byteorder) for i in starts]
+    return {exps: n for exps, n in zip(product(*map(range, radices)), counts) if n}
+
+
+def _sparse_terms(
+    region: Region, weights: list[int], radices: list[int], south_allowed: bool
+) -> dict[tuple[int, ...], int]:
+    """The terms of ``path_distribution`` with each height's polynomial held
+    as a dict of codes.
+
+    The sweep of ``_dense_terms`` with dict additions for shifts: the
+    state maps each height h_prev of the previous column to the counts, by
+    code, of the prefixes ending there.  The running sum keeps the l weight
+    it has gained as an offset, ``raised``, so a prefix enters it lowered
+    by that offset and each copy adds it back.  The codes are unpacked once,
+    in ascending order: with two letters by one ``divmod``, otherwise by one
+    division per place.
+    """
     wt, wb, wl, wr = weights
+    y = region.y
     state = {0: {0: 1}}
     tp = bp = 0
-    for th, bh in zip(region.top.heights, region.bottom.heights):
+    for th, bh in zip(region.t_heights, region.b_heights):
         nxt: dict[int, dict[int, int]] = {}
         running: dict[int, int] = {}
         raised = 0
@@ -183,14 +274,12 @@ def path_distribution(
     for hp, prefixes in state.items():
         gain = wl * (y - (hp if hp > tp else tp)) + wr * (y - hp)
         _shift_into(packed, prefixes, gain)
-    # every count is positive and the packing is one-to-one, so the terms
-    # need none of the checks of ``MultiPoly``
     codes = sorted(packed)
-    if len(places) == 2:
-        terms = {divmod(code, radix): packed[code] for code in codes}
-    else:
-        terms = {tuple([code // place % radix for place in places]): packed[code] for code in codes}
-    return MultiPoly._of(variables, terms)
+    radix = radices[0]
+    if len(radices) == 2:
+        return {divmod(code, radix): packed[code] for code in codes}
+    places = [radix**p for p in reversed(range(len(radices)))]
+    return {tuple([code // place % radix for place in places]): packed[code] for code in codes}
 
 
 def _shift_into(target: dict[int, int], counts: dict[int, int], gain: int) -> None:

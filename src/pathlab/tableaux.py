@@ -335,7 +335,7 @@ def flagged_schur(shape: YoungShape, k: int, nvars: int) -> MultiPoly:
     entry m adds a horizontal strip nu: mu_r <= nu_r <= mu_{r-1}, with
     nu_r = lambda_r once m >= k + r (the flag).  The state maps each mu to
     the counts of the fillings that reach it, by exponents packed as in
-    ``enumeration.path_distribution`` (radix |lambda| + 1, x1 most
+    ``enumeration._sparse_terms`` (radix |lambda| + 1, x1 most
     significant); x_m gains |nu| - |mu|.  No entry exceeds k + l, l the
     number of nonzero rows, so the later variables only pad the exponents.
     """

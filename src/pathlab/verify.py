@@ -107,6 +107,11 @@ def _symmetric(dist: dict[tuple[int, ...], int]) -> bool:
     )
 
 
+def _dist_command(region: Region | str, letters: str) -> str:
+    """The CLI line that prints the region's distribution of the letters."""
+    return f"pathlab dist --region '{region}' --stats {','.join(letters)}"
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -212,10 +217,13 @@ def check_tutte_orders(max_semi: int) -> str:
         poly = MultiPoly(("x", "y"), terms)
         lb = path_distribution(region, ["l", "b"])
         rt = path_distribution(region, ["r", "t"])
+        tutte = f"pathlab tutte --region '{region}'"
         if poly != lb:
-            raise Counterexample("natural order mismatch", f"{region}")
+            where = f"{tutte} vs {_dist_command(region, 'lb')}"
+            raise Counterexample("natural order mismatch", where)
         if poly != rt:
-            raise Counterexample("reversed order mismatch", f"{region}")
+            where = f"{tutte} --order reversed vs {_dist_command(region, 'rt')}"
+            raise Counterexample("reversed order mismatch", where)
     return f"{regions} regions, all ground orders (x+y <= {max_semi})"
 
 
@@ -397,22 +405,23 @@ def check_closed_formulas(max_total: int) -> str:
     its coefficient sum is the path count, and its coefficients are the
     contact-refined counts."""
     families = [
-        (1, "n={} r={} s={}", (n, r, s))
+        (1, (n, r, s))
         for n in range(max_total + 1)
         for r in range(max_total - n + 1)
         for s in range(max_total - n - r + 1)
-    ] + [(2, "n={} r={} k={}", params) for params in product(range(4), range(4), range(3))]
-    for case, label, params in families:
+    ] + [(2, params) for params in product(range(4), range(4), range(3))]
+    for case, params in families:
         region = (case1_region if case == 1 else case2_region)(*params)
-        where = label.format(*params)
+        count = f"pathlab count-ab --case {case} --params {','.join(map(str, params))}"
         dist = path_distribution(region, ["t", "b"])
         if andre_barbier_count(case, params) != dist.coefficient_sum():
-            raise Counterexample(f"case {case} count", where)
+            raise Counterexample(f"case {case} count", f"{count} vs {_dist_command(region, 'tb')}")
         if params[1] > 0:  # the contact formulas need a trailing north run, r > 0
             counts = dist.terms
             for c in range(region.x + 2):
                 for i in range(c + 1):
                     if contact_formula_count(case, params, i, c - i) != counts.get((i, c - i), 0):
+                        where = f"{count} --contacts {i},{c - i} vs {_dist_command(region, 'tb')}"
                         raise Counterexample(f"case {case} contacts ({i},{c - i})", where)
     return f"families swept to total {max_total}"
 
@@ -435,9 +444,12 @@ def check_conjectures(max_n: int) -> str:
     for n in range(1, max_n + 1):
         equivalence, sum_dependence = conjecture_check(n)
         if not equivalence.holds:
-            raise Counterexample("distribution equivalence conjecture", equivalence.counterexample)
+            region = equivalence.counterexample
+            where = " vs ".join(_dist_command(region, pair) for pair in ("bl", "bt", "lr", "tr"))
+            raise Counterexample("distribution equivalence conjecture", where)
         if not sum_dependence.holds:
-            raise Counterexample("sum-dependence conjecture", sum_dependence.counterexample)
+            where = _dist_command(sum_dependence.counterexample, "bl")
+            raise Counterexample("sum-dependence conjecture", where)
     return f"both conjectures hold for n <= {max_n}"
 
 

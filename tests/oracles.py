@@ -50,6 +50,21 @@ def rectangle(x: int, y: int) -> Region:
     return Region(Path((y,) * x, y), Path((0,) * x, y))
 
 
+def half_turn(region: Region) -> Region:
+    """The region turned through 180 degrees: each boundary's steps
+    reversed, the old bottom on top.  A path's t and b contacts trade
+    places."""
+    return Region.from_steps(region.bottom.steps()[::-1], region.top.steps()[::-1])
+
+
+def transpose(region: Region) -> Region:
+    """The region reflected in its diagonal: N and E trade places, and so do
+    the top and the bottom.  A path's l contacts become b contacts and its
+    r contacts t contacts."""
+    swap = str.maketrans("NE", "EN")
+    return Region.from_steps(region.bottom.steps().translate(swap), region.top.steps().translate(swap))
+
+
 def lpm_is_base(region: Region) -> Callable[[frozenset[int]], bool]:
     """The definition of the region's path matroid: a subset is a base when
     it is the north-step index set of a path inside the region."""

@@ -2,8 +2,10 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FilePath
 from types import SimpleNamespace
@@ -11,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathlab import cli, verify
+from pathlab import applications, cli, verify
 from pathlab.applications import ConjectureReport, conjecture_check
 from pathlab.cli import main
 from pathlab.enumeration import path_distribution
@@ -20,7 +22,7 @@ from pathlab.polynomials import MultiPoly
 from pathlab.verify import SUITES
 from pathlab.words import switch_inv
 
-from oracles import json_by_payload
+from oracles import json_by_payload, parse_poly
 
 
 def run(capsys, *argv):
@@ -331,6 +333,14 @@ def planted_conjecture_check(failing):
     return check
 
 
+# the dist lines that each conjecture's FAIL line names for its region
+DIST = "pathlab dist --region 'T=NNEE;B=EENN' --stats "
+CONJECTURE_LINES = {
+    "distribution equivalence conjecture": " vs ".join(DIST + pair for pair in ("b,l", "b,t", "l,r", "t,r")),
+    "sum-dependence conjecture": DIST + "b,l",
+}
+
+
 @pytest.mark.parametrize(
     "failing, what",
     [
@@ -342,7 +352,100 @@ def planted_conjecture_check(failing):
 def test_each_conjecture_verdict_fails_the_suite(capsys, monkeypatch, failing, what):
     monkeypatch.setattr(verify, "conjecture_check", planted_conjecture_check(failing))
     assert main(["verify", "--suite", "conjectures", "--max", "3"]) == 1
-    assert capsys.readouterr().out == f"FAIL conjectures: {what} [T=NNEE;B=EENN]\n"
+    assert capsys.readouterr().out == f"FAIL conjectures: {what} [{CONJECTURE_LINES[what]}]\n"
+
+
+def commands_in(line: str) -> list[list[str]]:
+    """The argument lists of the CLI lines that a FAIL line's bracket names,
+    one per ``pathlab`` command, split at " vs "."""
+    where = line[line.index("[") + 1 : line.rindex("]")]
+    commands = [shlex.split(command) for command in where.split(" vs ")]
+    assert all(argv[0] == "pathlab" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def planted_distribution(letters: str, change):
+    """``path_distribution`` with the terms of one letter list replaced by
+    ``change(region, terms)``."""
+    def dist(region, names, south_allowed=False):
+        poly = path_distribution(region, names, south_allowed)
+        if "".join(names) != letters:
+            return poly
+        return MultiPoly(poly.variables, change(region, dict(poly.terms)))
+    return dist
+
+
+def one_more_path(region, terms):
+    return {**terms, (9, 9): 1}
+
+
+def one_path_moved(region, terms):
+    """One path of the least exponent vector moved to one more t contact,
+    which keeps the coefficient sum."""
+    first = min(terms)
+    moved = Counter(terms)
+    moved[first] -= 1
+    moved[first[0] + 1, *first[1:]] += 1
+    return {exps: n for exps, n in moved.items() if n}
+
+
+def bl_read_as_bt(region, terms):
+    return path_distribution(region, ["b", "t"]).terms
+
+
+def same_polynomial(outputs, argvs):
+    return outputs[0] == outputs[1]
+
+
+def count_is_coefficient_sum(outputs, argvs):
+    return int(outputs[0]) == parse_poly(outputs[1], "xy").coefficient_sum()
+
+
+def count_is_coefficient(outputs, argvs):
+    i, j = map(int, argvs[0][argvs[0].index("--contacts") + 1].split(","))
+    return int(outputs[0]) == parse_poly(outputs[1], "xy").terms.get((i, j), 0)
+
+
+def bl_differs_from_bt(outputs, argvs):
+    return len(outputs) == 4 and outputs[0] != outputs[1]
+
+
+# A wrong distribution planted where a sweep reads it: the module, the letter
+# list, the change, the counterexample text, and what the outputs of the
+# printed commands, run through the unchanged CLI, must show.
+PLANTED_DISTRIBUTIONS = {
+    "tutte-natural": ("tutte-orders", verify, "lb", one_more_path, "natural order mismatch", same_polynomial),
+    "tutte-reversed": ("tutte-orders", verify, "rt", one_more_path, "reversed order mismatch", same_polynomial),
+    "closed-count": ("closed-formulas", verify, "tb", one_more_path, "case 1 count", count_is_coefficient_sum),
+    "closed-contacts": (
+        "closed-formulas", verify, "tb", one_path_moved, "case 1 contacts (0,0)", count_is_coefficient
+    ),
+    # 5.2 breaks at the first region off the staircases, where (b, l) and
+    # (b, t) differ
+    "conjecture-52": (
+        "conjectures", applications, "bl", bl_read_as_bt, "distribution equivalence conjecture",
+        bl_differs_from_bt,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED_DISTRIBUTIONS))
+def test_a_distribution_mismatch_prints_runnable_commands(capsys, monkeypatch, case):
+    """The FAIL line of a planted wrong distribution names CLI lines that run
+    as printed; their outputs show the library's true polynomials, which
+    agree where the planted one did not."""
+    suite, module, letters, change, what, shows = PLANTED_DISTRIBUTIONS[case]
+    monkeypatch.setattr(module, "path_distribution", planted_distribution(letters, change))
+    assert main(["verify", "--suite", suite, "--max", "3"]) == 1
+    line = capsys.readouterr().out
+    assert line.startswith(f"FAIL {suite}: {what} [pathlab "), line
+    monkeypatch.undo()
+    argvs = commands_in(line)
+    outputs = []
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        outputs.append(capsys.readouterr().out.strip())
+    assert shows(outputs, argvs), (line, outputs)
 
 
 def test_check_conjectures_reports_a_counterexample_and_every_n(capsys, monkeypatch):

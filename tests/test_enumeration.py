@@ -5,7 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from pathlab.applications import regions_touching_only_at_ends
+from pathlab.applications import dyck_region, regions_touching_only_at_ends
 from pathlab.cli import main
 from pathlab.enumeration import (
     CONTACT_STATS,
@@ -19,10 +19,11 @@ from pathlab.enumeration import (
 from pathlab.matroids import lpm_oracle, natural_order, reversed_order, tutte_poly
 from pathlab.paths import Path, Region, contact_stats, parse_path, vertices
 from pathlab.polynomials import MultiPoly, int_determinant
+from pathlab.triangulations import catalan
 from pathlab.tuples import PathTuple, _inner_region
 from pathlab.verify import all_regions
 
-from oracles import parse_poly, rectangle
+from oracles import half_turn, parse_poly, rectangle, transpose
 
 SMALL = Region.from_steps("NNENEE", "ENEENN")
 
@@ -276,6 +277,71 @@ def test_path_distribution_takes_one_letter_per_variable_name():
     assert path_distribution(region, list("tblrtb")).variables == VAR_NAMES
     with pytest.raises(ValueError):
         path_distribution(region, list("tblrtbl"))
+
+
+def test_path_distribution_coefficient_widths():
+    """The packed kernel gives each coefficient the whole bytes of the
+    region's path count: requests whose counts sit on both sides of a byte
+    boundary (128, 256 and 65,536 paths with south steps, 252 and 462
+    without), under (t, l) and under no letter at all, whose one
+    coefficient is the whole count."""
+    cases = [(rectangle(x, 1), True) for x in (7, 8, 16)] + [(rectangle(5, y), False) for y in (5, 6)]
+    for region, south in cases:
+        for names in (["t", "l"], []):
+            got = path_distribution(region, names, south)
+            assert got == enumerated_distribution(region, names, south), (region, names, south)
+        assert got.terms == {(): lgv_count(region, 1) if not south else 2**region.x}
+
+
+def test_deutsch_dyck_contacts_are_symmetric_with_catalan_total():
+    # Deutsch (Discrete Math. 204, 1999): on the Dyck region the (t, b)
+    # distribution is symmetric; at n = 60 a coefficient takes 15 bytes
+    for n in range(61):
+        terms = path_distribution(dyck_region(n), ["t", "b"]).terms
+        assert all(terms.get((b, t)) == count for (t, b), count in terms.items()), n
+        assert sum(terms.values()) == catalan(n)
+
+
+def drawn_region(rng: random.Random, x: int, y: int) -> Region:
+    """Two shuffled step strings of the x-by-y rectangle, the higher height
+    of each column on top and the lower one below."""
+    heights = []
+    for _ in range(2):
+        steps = ["N"] * y + ["E"] * x
+        rng.shuffle(steps)
+        heights.append(parse_path("".join(steps)).heights)
+    top = tuple(max(a, b) for a, b in zip(*heights))
+    bottom = tuple(min(a, b) for a, b in zip(*heights))
+    return Region(Path(top, y), Path(bottom, y))
+
+
+def test_symmetry_identities_past_enumeration():
+    """The half turn trades t and b, and the transpose trades l with b and r
+    with t, so three identities check the kernel's l and r terms through its
+    t and b ones, on regions no enumeration reaches: seeded ones with
+    x + y = 40 and elongated ones on both sides of the packing rule.  On
+    the elongated ones and a few others each pair also equals the
+    projection of the joint (t, b, l, r), which takes the dict sweep, so
+    the two sweeps check each other."""
+    rng = random.Random(29)
+    drawn = [drawn_region(rng, x, 40 - x) for x in rng.choices(range(1, 40), k=40)]
+    elongated = [drawn_region(rng, x, y) for x, y in ((30, 3), (3, 30), (40, 1), (1, 40)) for _ in range(3)]
+    for region in drawn + elongated:
+        turned, flipped = half_turn(region), transpose(region)
+        assert path_distribution(region, ["l", "r"]) == path_distribution(flipped, ["b", "t"]), region
+        for south in (False, True):
+            assert path_distribution(turned, ["t", "b"], south) == path_distribution(
+                region, ["b", "t"], south
+            ), (region, south)
+        assert path_distribution(region, ["b", "l"]) == path_distribution(turned, ["t", "r"]), region
+    for region in drawn[:8] + elongated:
+        joint = path_distribution(region, list(CONTACT_STATS)).terms
+        for i, j in product(range(4), repeat=2):
+            projected = Counter()
+            for exps, count in joint.items():
+                projected[exps[i], exps[j]] += count
+            names = [CONTACT_STATS[i], CONTACT_STATS[j]]
+            assert path_distribution(region, names).terms == projected, (region, names)
 
 
 def test_lgv_examples():
