@@ -178,6 +178,8 @@ def cmd_swapall(args) -> int:
         raise InvariantError("swapall changed the descent set")
     if noncontact_heights(region, image) != noncontact_heights(region, path):
         raise InvariantError("swapall changed the free heights")
+    if swapall(region, image) != path:
+        raise InvariantError("swapall is not an involution")
     if args.format == "json":
         print(
             json.dumps(

@@ -287,8 +287,27 @@ class _Columns(NamedTuple):
     free: tuple[int, ...]
 
 
-# (path, region, record) of the last two scans, oldest first; holding a key keeps its id
-_memo: list[tuple[object, object, _Columns | None]] = [(object(), None, None)] * 2
+# What _columns scanned and what swaps.swapall moved each path to, keyed by
+# the path's heights, for one region at a time, _held[0]: holding it keeps
+# its id from being reused.  KEEP_CAP bounds what a listing of one large
+# region keeps (a 7x7 square has about 2M paths with south steps).
+_held: list[Region | None] = [None]
+_records: dict[tuple[int, ...], _Columns] = {}
+_images: dict[tuple[int, ...], Path | None] = {}
+KEEP_CAP = 1 << 14
+
+
+def _keep(region: Region, table: dict, heights: tuple[int, ...], value) -> None:
+    """Store ``value`` under ``heights`` in ``table``, one of the two tables
+    above: both are emptied first when ``region`` is not the region they
+    hold, and ``table`` alone when it has ``KEEP_CAP`` entries."""
+    if _held[0] is not region:
+        _held[0] = region
+        _records.clear()
+        _images.clear()
+    elif len(table) >= KEEP_CAP:
+        table.clear()
+    table[heights] = value
 
 
 def _columns(region: Region, path: Path) -> _Columns:
@@ -303,15 +322,18 @@ def _columns(region: Region, path: Path) -> _Columns:
     the last column.  ``word`` has a letter per column on one boundary only,
     at the 1-based ``cols``; ``t`` pushes and ``b`` pops the last unmatched
     ``t``, as in ``words.factorize``, leaving ``unmatched_b``/``_t`` (indices
-    into ``cols``).  ``free`` has the free columns' heights.  The last two
-    records are kept by identity: the involution reads a path and its image.
+    into ``cols``).  ``free`` has the free columns' heights.
+
+    A record is kept by ``_keep`` under the path's heights, so each height
+    vector of a region is scanned once while the region stays the one
+    held: the involution reads every path twice, once itself and once as
+    another path's image.  A scan that raises keeps nothing, and a path
+    whose endpoint is not the region's is always scanned.
     """
-    entry = _memo[1]
-    if entry[0] is path and entry[1] is region:
-        return entry[2]
-    entry = _memo[0]
-    if entry[0] is path and entry[1] is region:
-        return entry[2]
+    if _held[0] is region and path.y == region.top.y:
+        record = _records.get(path.heights)
+        if record is not None:
+            return record
     check_dimensions(region, path)
     t = b = l = r = hp = tp = bp = col = 0
     word = ""
@@ -349,8 +371,7 @@ def _columns(region: Region, path: Path) -> _Columns:
     # tuple.__new__ skips the Python-level __new__ of a NamedTuple
     stats = tuple.__new__(ContactStats, (t, b, l, r))
     record = tuple.__new__(_Columns, (stats, word, tuple(cols), tuple(unmatched_b), tuple(unmatched_t), tuple(free)))
-    _memo[0] = _memo[1]
-    _memo[1] = (path, region, record)
+    _keep(region, _records, path.heights, record)
     return record
 
 

@@ -6,13 +6,19 @@ set and the heights of the non-contact east steps.
 
 One kernel per direction, ``_down`` and ``_up``, moves one contact in place
 on a height list and checks the columns it rewrote.  ``swapall`` reads its
-moves off ``paths._columns``, the one column scan, which keeps its last two
-records by identity, so a path and its image are scanned once each.
+moves off ``paths._columns``, the one column scan.  Both keep what they
+computed for the region last asked about, keyed by the path's heights (see
+``paths._keep``): the involution meets each path twice, once itself and
+once as another path's image, and each height vector is scanned once and
+swapped once, every move with its checks, while the region stays.
 """
 
 from __future__ import annotations
 
-from .paths import InvariantError, Path, Region, _columns
+from .paths import InvariantError, Path, Region, _columns, _held, _images, _keep
+
+# what ``_images.get`` returns for heights that no swap has kept
+_UNSEEN = object()
 
 
 def _scan(region: Region, path: Path) -> tuple[list[int], list[int], list[int]]:
@@ -147,11 +153,21 @@ def swapall(region: Region, path: Path) -> Path:
     it leaves every other letter matched or unmatched as before: the moves
     are the first t - b unmatched ``t``'s, or the last b - t unmatched
     ``b``'s taken rightmost first.
+
+    The image is kept under the path's heights, ``None`` when the path
+    stays (see ``paths._keep``); a swap that raises keeps nothing.
     """
+    if _held[0] is region and path.y == region.top.y:
+        image = _images.get(path.heights, _UNSEEN)
+        if image is not _UNSEEN:
+            return path if image is None else image
     cols, unmatched_b, unmatched_t = _scan(region, path)
     diff = len(unmatched_t) - len(unmatched_b)
     if diff == 0:
-        return path
-    if diff > 0:
-        return _moved(region, path, cols, _down, unmatched_t[:diff])
-    return _moved(region, path, cols, _up, reversed(unmatched_b[diff:]))
+        image = None
+    elif diff > 0:
+        image = _moved(region, path, cols, _down, unmatched_t[:diff])
+    else:
+        image = _moved(region, path, cols, _up, reversed(unmatched_b[diff:]))
+    _keep(region, _images, path.heights, image)
+    return path if image is None else image

@@ -9,6 +9,7 @@ through it.
 
 from __future__ import annotations
 
+import shlex
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -49,7 +50,7 @@ from .matroids import (
     reversed_order,
     uniform_oracle,
 )
-from .paths import Region, contact_stats, descent_set, noncontact_heights
+from .paths import Path, Region, contact_stats, descent_set, noncontact_heights
 from .polynomials import MultiPoly
 from .swaps import swapall
 from .tableaux import (
@@ -112,6 +113,18 @@ def _dist_command(region: Region | str, letters: str) -> str:
     return f"pathlab dist --region '{region}' --stats {','.join(letters)}"
 
 
+def _swapall_command(region: Region, path: Path) -> str:
+    """The CLI line that applies the involution to one path of the region."""
+    return f"pathlab swapall --region '{region}' --path {shlex.quote(str(path))}"
+
+
+def _class_command(region: Region, descents: frozenset[int], free: tuple[int, ...]) -> str:
+    """The CLI line that lists the region's paths, south steps allowed, of
+    one (descent set, free heights) class."""
+    d, h = (shlex.quote(",".join(map(str, values))) for values in (sorted(descents), free))
+    return f"pathlab enumerate --region '{region}' --south --descents {d} --heights {h}"
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -164,21 +177,21 @@ def check_contact_involution(max_semi: int) -> str:
             image = swapall(region, p)
             ist = contact_stats(region, image)
             if (ist.t, ist.b) != (st.b, st.t):
-                raise Counterexample("contact counts not exchanged", f"{region} {p}")
+                raise Counterexample("contact counts not exchanged", _swapall_command(region, p))
             descents = descent_set(p)
             if descent_set(image) != descents:
-                raise Counterexample("descent set changed", f"{region} {p}")
+                raise Counterexample("descent set changed", _swapall_command(region, p))
             free = noncontact_heights(region, p)
             if noncontact_heights(region, image) != free:
-                raise Counterexample("free heights changed", f"{region} {p}")
+                raise Counterexample("free heights changed", _swapall_command(region, p))
             if swapall(region, image) != p:
-                raise Counterexample("not an involution", f"{region} {p}")
+                raise Counterexample("not an involution", _swapall_command(region, p))
             class_dist[descents, free][st.t, st.b] += 1
         for key, dist in class_dist.items():
             if dist[1, 0] > 1 or dist[0, 1] > 1:
-                raise Counterexample("extreme path not unique", f"{region} {key}")
+                raise Counterexample("extreme path not unique", _class_command(region, *key))
             if not _symmetric(dist):
-                raise Counterexample("class distribution asymmetric", f"{region} {key}")
+                raise Counterexample("class distribution asymmetric", _class_command(region, *key))
     return f"{paths} paths over {regions} regions (x+y <= {max_semi})"
 
 
@@ -208,8 +221,12 @@ def check_tutte_orders(max_semi: int) -> str:
         m = region.x + region.y
         oracle = lpm_oracle(region)
         terms = activity_terms(oracle, tuple(range(1, m + 1)))
-        if any(activity_terms(oracle, order) != terms for order in permutations(range(1, m + 1))):
-            raise Counterexample("order changed the polynomial", f"{region}")
+        orders = permutations(range(1, m + 1))
+        changed = next((order for order in orders if activity_terms(oracle, order) != terms), None)
+        tutte = f"pathlab tutte --region '{region}'"
+        if changed is not None:
+            where = f"{tutte} vs {tutte} --order perm:{','.join(map(str, changed))}"
+            raise Counterexample("order changed the polynomial", where)
         regions += 1
 
         # Every order, the reversed one included, gave the natural order's
@@ -217,7 +234,6 @@ def check_tutte_orders(max_semi: int) -> str:
         poly = MultiPoly(("x", "y"), terms)
         lb = path_distribution(region, ["l", "b"])
         rt = path_distribution(region, ["r", "t"])
-        tutte = f"pathlab tutte --region '{region}'"
         if poly != lb:
             where = f"{tutte} vs {_dist_command(region, 'lb')}"
             raise Counterexample("natural order mismatch", where)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import io
 import json
 import os
@@ -13,10 +15,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathlab import applications, cli, verify
+from pathlab import applications, cli, swaps, verify
 from pathlab.applications import ConjectureReport, conjecture_check
 from pathlab.cli import main
-from pathlab.enumeration import path_distribution
+from pathlab.enumeration import enumerate_paths, path_distribution
+from pathlab.matroids import activity_terms
 from pathlab.paths import Path, Region
 from pathlab.polynomials import MultiPoly
 from pathlab.verify import SUITES
@@ -71,6 +74,8 @@ def test_swapall_verb(capsys):
         (lambda region, path: path, "swapall did not exchange the contact counts"),
         (lambda region, path: Path((2, 1, 0), 3), "swapall changed the descent set"),
         (lambda region, path: Path((0, 2, 2), 3), "swapall changed the free heights"),
+        # the right image, (0, 1, 2), which then swaps to itself
+        (lambda region, path: Path((0, 1, 2), 3), "swapall is not an involution"),
     ],
 )
 def test_swapall_verb_checks_what_it_prints(capsys, monkeypatch, bad_swapall, message):
@@ -446,6 +451,83 @@ def test_a_distribution_mismatch_prints_runnable_commands(capsys, monkeypatch, c
         assert main(argv) == 0, argv
         outputs.append(capsys.readouterr().out.strip())
     assert shows(outputs, argvs), (line, outputs)
+
+
+def no_move(region, h, *args):
+    """A move, or a landing, that leaves the heights ``h`` as they were."""
+
+
+def each_path_twice(region, south_allowed=False):
+    return (p for p in enumerate_paths(region, south_allowed) for _ in range(2))
+
+
+def all_but_the_last_path(region, south_allowed=False):
+    return list(enumerate_paths(region, south_allowed))[:-1]
+
+
+# The first region with two paths: EN, a bottom contact, and NE, a top one.
+SWAPALL_EN = "pathlab swapall --region 'T=NE;B=EN' --path EN"
+CLASS_OF_EN = "pathlab enumerate --region 'T=NE;B=EN' --south --descents '' --heights ''"
+
+# One planted fault per counterexample of the contact-involution sweep: the
+# module and name to patch, the fault, the CLI line the FAIL line names, and
+# what that line prints through the unchanged CLI.  The two moves are patched
+# below swapall's kept images: with no _down, EN still swaps to NE, and only
+# the swap back from NE fails, which a kept image must not answer for.
+INVOLUTION_FAULTS = {
+    "contact counts not exchanged": (swaps, "_land", no_move, SWAPALL_EN),
+    "not an involution": (swaps, "_down", no_move, SWAPALL_EN),
+    "descent set changed": (verify, "descent_set", lambda path: path.heights, SWAPALL_EN),
+    "free heights changed": (verify, "noncontact_heights", lambda region, path: path.heights, SWAPALL_EN),
+    "extreme path not unique": (verify, "enumerate_paths", each_path_twice, CLASS_OF_EN),
+    "class distribution asymmetric": (verify, "enumerate_paths", all_but_the_last_path, CLASS_OF_EN),
+}
+PRINTS = {SWAPALL_EN: "NE\n", CLASS_OF_EN: "EN\nNE\ntotal 2\n"}
+
+
+def test_every_involution_counterexample_has_a_planted_fault():
+    tree = ast.parse(inspect.getsource(verify.check_contact_involution))
+    whats = [
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Counterexample"
+    ]
+    assert sorted(whats) == sorted(INVOLUTION_FAULTS)
+
+
+@pytest.mark.parametrize("what", sorted(INVOLUTION_FAULTS))
+def test_each_involution_check_fires_with_a_runnable_line(capsys, monkeypatch, what):
+    module, name, fault, where = INVOLUTION_FAULTS[what]
+    monkeypatch.setattr(module, name, fault)
+    assert main(["verify", "--suite", "contact-involution", "--max", "3"]) == 1
+    line = capsys.readouterr().out
+    assert line == f"FAIL contact-involution: {what} [{where}]\n"
+    (argv,) = commands_in(line)
+    if module is swaps:  # the verb runs the broken moves too, and its checks fail
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: swapall ")
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(PRINTS[where])
+
+
+def test_an_order_that_changes_the_polynomial_prints_both_tutte_lines(capsys, monkeypatch):
+    """With every ranking that puts element 1 last wrong from three elements
+    on, the first of them at the first such region is (2, 3, 1)."""
+    def last_one_wrong(oracle, order):
+        return {} if len(order) >= 3 and order[-1] == 1 else activity_terms(oracle, order)
+
+    monkeypatch.setattr(verify, "activity_terms", last_one_wrong)
+    assert main(["verify", "--suite", "tutte-orders", "--max", "3"]) == 1
+    line = capsys.readouterr().out
+    tutte = "pathlab tutte --region 'T=NNN;B=NNN'"
+    assert line == f"FAIL tutte-orders: order changed the polynomial [{tutte} vs {tutte} --order perm:2,3,1]\n"
+    monkeypatch.undo()
+    outputs = []
+    for argv in commands_in(line):
+        assert main(argv) == 0, argv
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "x^3\n"
 
 
 def test_check_conjectures_reports_a_counterexample_and_every_n(capsys, monkeypatch):

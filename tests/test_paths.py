@@ -199,14 +199,15 @@ READERS = [
 
 
 def assert_readers_match_oracles(region, path):
-    # a fresh copy per reader, so that each reader once scans and once reads
-    # a record that another reader's scan kept
+    # a fresh copy of the region per reader, which empties the kept tables,
+    # so that each reader once scans and once reads a record that another
+    # reader's scan kept
     for first, first_oracle in READERS:
-        q = Path._of(path.heights, path.y)
-        assert outcome(first, region, q) == outcome(first_oracle, region, q)
+        fresh = Region._of(region.top, region.bottom)
+        assert outcome(first, fresh, path) == outcome(first_oracle, fresh, path)
         for fn, oracle in READERS:
-            assert outcome(fn, region, q) == outcome(oracle, region, q)
-    assert len(paths._memo) <= 2
+            assert outcome(fn, fresh, path) == outcome(oracle, fresh, path)
+    assert len(paths._records) <= 1
 
 
 def test_readers_match_the_column_loops():
@@ -229,34 +230,92 @@ def test_readers_match_the_column_loops():
             assert outcome(stat, r, p) == (RegionError, "path and region dimensions differ")
 
 
-def test_kept_records_stay_with_their_path_and_region():
-    staircase = Region.from_steps("NNEE", "ENEN")
-    square = Region.from_steps("NNEE", "EENN")
-    p = Path((1, 1), 2)
-    # one path object under two regions, interleaved
-    for region in (staircase, square, staircase, square):
-        assert contact_stats(region, p) == oracles.contact_stats(region, p)
-        assert swaps.contact_word(region, p) == oracles.contact_word(region, p)
-    assert contact_stats(staircase, p) != contact_stats(square, p)
-    # equal but distinct paths, and an equal but distinct region, are
-    # scanned again
-    q = Path((1, 1), 2)
-    assert contact_stats(square, q) == oracles.contact_stats(square, q)
-    assert [(e[0], e[1]) for e in paths._memo] == [(p, square), (q, square)]
-    assert paths._memo[0][0] is p and paths._memo[1][0] is q
-    other = Region.from_steps("NNEE", "EENN")
-    assert noncontact_heights(other, q) == oracles.noncontact_heights(other, q)
-    assert paths._memo[1][1] is other and len(paths._memo) == 2
-    # a scan that raised leaves no entry behind
-    kept = list(paths._memo)
-    for bad in (Path((2, 0), 2), Path((1,), 2)):
+SQUARE = "NNNEEE", "EEENNN"
+
+
+def test_equal_paths_share_one_record_and_one_image():
+    square = Region.from_steps(*SQUARE)
+    p, q = Path((3, 3, 3), 3), Path((3, 3, 3), 3)
+    record = paths._columns(square, p)
+    assert paths._columns(square, q) is record
+    image = swaps.swapall(square, p)
+    assert image == Path((0, 0, 0), 3) and swaps.swapall(square, q) is image
+    assert paths._records == {(3, 3, 3): record} and paths._images == {(3, 3, 3): image}
+    # the image is another path, scanned and swapped once in its turn
+    assert swaps.swapall(square, image) == p and contact_stats(square, image) == (0, 3, 0, 3)
+    assert len(paths._records) == len(paths._images) == 2
+    # an endpoint other than the region's never reads a kept record
+    for taller in (Path((3, 3, 3), 4), Path((3, 3, 3), 5)):
         for fn, oracle in READERS:
+            assert outcome(fn, square, taller) == (RegionError, "path and region dimensions differ")
+        assert outcome(swaps.swapall, square, taller) == (RegionError, "path and region dimensions differ")
+
+
+def test_swapall_returns_its_own_argument_when_the_counts_agree():
+    square = Region.from_steps(*SQUARE)
+    p, q = Path((3, 1, 0), 3), Path((3, 1, 0), 3)
+    assert contact_stats(square, p)[:2] == (1, 1)
+    assert swaps.swapall(square, p) is p
+    assert paths._images == {(3, 1, 0): None}
+    assert swaps.swapall(square, q) is q
+
+
+def test_a_new_region_empties_both_tables():
+    square = Region.from_steps(*SQUARE)
+    p = Path((3, 3, 3), 3)
+    swaps.swapall(square, p)
+    assert paths._held[0] is square and len(paths._records) == len(paths._images) == 1
+    # an equal but distinct region, asked first of either table
+    for reader in (contact_stats, swaps.swapall):
+        other = Region.from_steps(*SQUARE)
+        reader(other, p)
+        assert paths._held[0] is other
+        assert (len(paths._records), len(paths._images)) == (1, int(reader is swaps.swapall))
+    staircase = Region.from_steps("NNNEEE", "ENENEN")
+    assert contact_stats(staircase, p) == oracles.contact_stats(staircase, p)
+    assert paths._held[0] is staircase and paths._images == {}
+
+
+def test_a_raising_scan_or_swap_keeps_nothing(monkeypatch):
+    staircase = Region.from_steps("NNEE", "ENEN")
+    p = Path((2, 2), 2)
+    swaps.swapall(staircase, p)
+    kept = dict(paths._records), dict(paths._images)
+    for bad in (Path((2, 0), 2), Path((1,), 2)):
+        for fn, oracle in READERS + [(swaps.swapall, oracles.scan)]:
             assert outcome(fn, staircase, bad) == outcome(oracle, staircase, bad)
-            assert all(a is b for a, b in zip(paths._memo, kept)) and len(paths._memo) == 2
+            assert (paths._records, paths._images) == kept
+    # a move that raises keeps the path's scan, and no image
+    q = Path((1, 2), 2)
+
+    def broken(*args):
+        raise paths.InvariantError("planted")
+
+    monkeypatch.setattr(swaps, "_land", broken)
+    with pytest.raises(paths.InvariantError, match="planted"):
+        swaps.swapall(staircase, q)
+    assert q.heights in paths._records and q.heights not in paths._images
+    monkeypatch.undo()
+    assert swaps.swapall(staircase, q) == Path((1, 1), 2)
     # _scan hands out fresh lists, which the moves may rewrite
     cols, _, _ = swaps._scan(staircase, p)
     cols[0] = 99
     assert swaps._scan(staircase, p) == oracles.scan(staircase, p)
+
+
+def test_a_table_never_holds_more_than_the_cap():
+    # 7^6 = 117,649 paths with south steps
+    region = Region.from_steps("N" * 6 + "E" * 6, "E" * 6 + "N" * 6)
+    scanned = 0
+    for p in enumerate_paths(region, south_allowed=True):
+        t, b, _, _ = oracles.contact_stats(region, swaps.swapall(region, p))
+        assert contact_stats(region, p) == oracles.contact_stats(region, p)
+        assert (b, t) == contact_stats(region, p)[:2]
+        assert len(paths._records) <= paths.KEEP_CAP and len(paths._images) <= paths.KEEP_CAP
+        scanned += 1
+        if scanned == paths.KEEP_CAP + 1:
+            break
+    assert paths._held[0] is region and len(paths._records) == len(paths._images) == 1
 
 
 def test_descent_set():
