@@ -3,10 +3,14 @@ generating polynomial, and the order-change bijection on bases.
 
 One oracle type, ``BasesOracle``, holds a matroid's bases as bit masks,
 listed once: a lattice path matroid's (north-step index sets of region
-paths) by a column transfer, a uniform matroid's from its subsets.  Every
-activity question reads the exchange buckets ``oracle.buckets``; the
-activity polynomial reads their order-free part ``oracle.split``, then
-takes one step per order for each bucket of two or more elements.
+paths) by a column transfer, a uniform matroid's from its subsets.  The
+activities of one base read the exchange buckets ``oracle.buckets``.  The
+activity polynomial has two kernels with one answer: on few bases
+(n * m < max(128, 2^m / 16)) one step per order for each bucket of two or
+more elements, on top of their order-free part ``oracle.split``; on more,
+a few operations per element on ``oracle.bitmaps``, which hold the bases
+as one integer of 2^m bits.  Each table is built once per oracle, on the
+first question that reads it, and shared by every order.
 
 An order of the ground set is its ranking tuple, smallest element first:
 ``natural_order``, ``reversed_order``, a permutation, or adjacent swaps of
@@ -37,8 +41,9 @@ from .tuples import PathTuple, _inner_region, _replace, bubble_swaps, h_stats, v
 class BasesOracle:
     """A matroid on the ground set 1..ground_size.  ``base_bits`` lists
     every base as a bit mask (bit e set for element e), in lexicographic
-    order of their sorted elements.  ``buckets`` and ``split`` are each
-    built once; every activity reads them."""
+    order of their sorted elements.  ``base_set``, ``bitmaps``, ``buckets``
+    and ``split`` are each built once, on the first question that reads
+    them."""
 
     ground_size: int
     rank: int
@@ -47,6 +52,34 @@ class BasesOracle:
     def bases(self) -> list[frozenset[int]]:
         ground = range(1, self.ground_size + 1)
         return [frozenset(e for e in ground if bits >> e & 1) for bits in self.base_bits]
+
+    @cached_property
+    def base_set(self) -> frozenset[int]:
+        return frozenset(self.base_bits)
+
+    @cached_property
+    def bitmaps(self) -> tuple[int, list[int], list[int]]:
+        """The bases as one bitmap of 2^m bits, bit B >> 1 set for each base
+        mask B (bit 0 of a mask is unused), and two lists indexed by
+        element e: its plane, the bitmap of the indices that hold e, and
+        its keys, the bases moved across e (``_across``), which are the
+        sets one element away from a base whose bucket holds e."""
+        m = self.ground_size
+        size = 1 << m
+        index = bytearray(size + 7 >> 3)
+        for bits in self.base_bits:
+            index[bits >> 4] |= 1 << (bits >> 1 & 7)
+        bases = int.from_bytes(index, "little")
+        planes, keys = [0], [0]
+        for e in range(1, m + 1):
+            step = 1 << e - 1
+            plane, period = (1 << step) - 1 << step, 2 * step
+            while period < size:
+                plane |= plane << period
+                period *= 2
+            planes.append(plane)
+            keys.append(_across(bases, plane, e))
+        return bases, planes, keys
 
     @cached_property
     def buckets(self) -> dict[int, int]:
@@ -108,11 +141,11 @@ def uniform_oracle(rank: int, ground_size: int) -> BasesOracle:
 
 def _bits(oracle: BasesOracle, base: frozenset[int]) -> int:
     """The base's bit mask, or ValueError for a non-base: an element outside
-    1..m (refused before any is shifted), or a mask no score is kept for."""
+    1..m (refused before any is shifted), or a mask the oracle does not list."""
     ground = range(1, oracle.ground_size + 1)
     if all(e in ground for e in base):
         bits = sum(1 << e for e in base)
-        if bits in oracle.split[0]:
+        if bits in oracle.base_set:
             return bits
     raise ValueError("not a base")
 
@@ -156,34 +189,101 @@ def exchange_buckets(encoded: tuple[int, ...], m: int) -> dict[int, int]:
 
 def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Counts of (internal, external) activity pairs over the oracle's
-    bases, under the order listing ``ranking`` smallest first: one step per
-    bucket of two or more elements, which credits its least element under
-    the order on top of the scores in ``oracle.split``.
+    bases, under the order listing ``ranking`` smallest first.
 
-    Under ``natural_order(m)`` a bucket's least element is its lowest set
-    bit, ``bucket & -bucket``, and under ``reversed_order(m)`` its highest;
-    any other ranking scans its bits, smallest first, for the first one in
-    the bucket."""
-    seed, multi = oracle.split
+    Two kernels give the same counts.  The bitmap side, ``_bitmap_terms``,
+    makes a few whole-bitmap operations per element on ``oracle.bitmaps``,
+    2^m bits each; the bucket side, ``_bucket_terms``, one step per
+    multi-element bucket of ``oracle.split``.  The bitmap side runs once
+    the n bases give n * m >= max(128, 2^m / 16) (base, element) pairs.
+    The 2^m / 16 keeps each bitmap within 16 bits per pair: a 200-by-1
+    region has m = 201 and only 201 bases.  Below 128 pairs one order
+    costs less through the buckets, which matters to the sweeps that try
+    every order of a small ground set."""
     m = oracle.ground_size
-    radix = m + 1
+    if len(oracle.base_bits) * m >= max(128, (1 << m) // 16):
+        return _bitmap_terms(oracle, ranking)
+    return _bucket_terms(oracle, ranking)
+
+
+def _across(bitmap: int, plane: int, e: int) -> int:
+    """Move every index of the bitmap across element e: toggle bit e - 1 of
+    each index, where ``plane`` holds the indices that have it set."""
+    step = 1 << e - 1
+    high = bitmap & plane
+    return high >> step | (bitmap ^ high) << step
+
+
+def _count(slices: list[int], bitmap: int) -> None:
+    """Add 1 at each index of the bitmap to the bit-sliced counter, whose
+    i-th slice is the bitmap of the indices with bit i of their count set."""
+    for i, digit in enumerate(slices):
+        if not bitmap:
+            return
+        slices[i] = digit ^ bitmap
+        bitmap &= digit
+    if bitmap:
+        slices.append(bitmap)
+
+
+def _split(bitmap: int, slices: list[int]) -> list[tuple[int, int]]:
+    """The nonempty parts of the bitmap whose indices share one count of the
+    bit-sliced counter, each with that count."""
+    parts = [(0, bitmap)]
+    for i, digit in enumerate(slices):
+        step = 1 << i
+        split = []
+        for count, whole in parts:
+            part = whole & digit
+            if part:
+                split.append((count + step, part))
+            if part != whole:
+                split.append((count, whole ^ part))
+        parts = split
+    return parts
+
+
+def _bitmap_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """``activity_terms`` on the bitmaps: element e is active in the bases
+    whose move across e lands on a key of e that no element ranked before
+    e has, for there e is the least element of the bucket; it counts as
+    internal in the bases that hold it.  Each (internal, external) count
+    is then the size of the bases that share that internal count and that
+    external count."""
+    bases, planes, keys = oracle.bitmaps
+    internal: list[int] = []
+    external: list[int] = []
+    seen = 0
+    for e in ranking:
+        active = _across(keys[e] & ~seen, planes[e], e)
+        seen |= keys[e]
+        inside = active & planes[e]
+        _count(internal, inside)
+        _count(external, active ^ inside)
+    by_external = _split(bases, external)
+    terms = {}
+    for i, row in _split(bases, internal):
+        for j, column in by_external:
+            n = (row & column).bit_count()
+            if n:
+                terms[i, j] = n
+    return terms
+
+
+def _bucket_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """``activity_terms`` on the buckets: one step per bucket of two or more
+    elements, which credits the first element of the ranking that it holds
+    on top of the scores in ``oracle.split``."""
+    seed, multi = oracle.split
+    radix = oracle.ground_size + 1
     scores = seed.copy()
-    if ranking == natural_order(m):
-        for key, bucket in multi:
-            base = key ^ bucket & -bucket
-            scores[base] += 1 if base > key else radix
-    elif ranking == reversed_order(m):
-        for key, bucket in multi:
-            base = key ^ 1 << bucket.bit_length() - 1
-            scores[base] += 1 if base > key else radix
-    else:
-        bits_in_order = [1 << e for e in ranking]
-        for key, bucket in multi:
-            for least in bits_in_order:
-                if bucket & least:
-                    break
-            base = key ^ least
-            scores[base] += 1 if base > key else radix
+    bits_in_order = [1 << e for e in ranking]
+    for key, bucket in multi:
+        for least in bits_in_order:
+            if bucket & least:
+                break
+        base = key ^ least
+        scores[base] += 1 if base > key else radix
     counts: dict[int, int] = {}
     for score in scores.values():
         counts[score] = counts.get(score, 0) + 1
@@ -192,10 +292,11 @@ def activity_terms(oracle: BasesOracle, ranking: tuple[int, ...]) -> dict[tuple[
 
 def tutte_poly(oracle: BasesOracle, order: tuple[int, ...]) -> MultiPoly:
     """Generating polynomial x^(internal activity) y^(external activity)
-    over all bases, read off ``oracle.split``, which every order shares.
-    The order must be a permutation of the ground set 1..m.  Every count
-    of ``activity_terms`` is positive, so the polynomial skips the checks
-    of ``MultiPoly``."""
+    over all bases, read by ``activity_terms`` off the bitmaps when the n
+    bases give n * m >= max(128, 2^m / 16), else off the buckets' split;
+    either table is shared by every order.  The order must be a permutation
+    of the ground set 1..m.  Every count of ``activity_terms`` is
+    positive, so the polynomial skips the checks of ``MultiPoly``."""
     if sorted(order) != list(range(1, oracle.ground_size + 1)):
         raise ValueError("the order must rank the whole ground set")
     return MultiPoly._of(("x", "y"), activity_terms(oracle, order))

@@ -246,7 +246,8 @@ def check_tutte_orders(max_semi: int) -> str:
 def check_activity_reorder(max_semi: int) -> str:
     """The adjacent-transposition bijection preserves activity pairs and
     composes to the identity with its mirror, on path matroids and uniform
-    matroids of ground size at most 5."""
+    matroids of ground size at most 5.  The mirror undoing every image
+    makes the map injective on the bases, so it is a bijection of them."""
     oracles = []
     for region in all_regions(max_semi):
         oracles.append((f"{region}", lpm_oracle(region)))
@@ -273,9 +274,6 @@ def check_activity_reorder(max_semi: int) -> str:
                     if activities(oracle, base, order) != activities(oracle, image, order_prime):
                         raise Counterexample("activity pair changed", f"{label}")
                     checked += 1
-                images = {phi_xy(oracle, order, x, y, b) for b in bases}
-                if len(images) != len(bases):
-                    raise Counterexample("not a bijection on bases", f"{label}")
     return f"{checked} base transpositions checked"
 
 

@@ -19,7 +19,7 @@ from pathlab import applications, cli, swaps, verify
 from pathlab.applications import ConjectureReport, conjecture_check
 from pathlab.cli import main
 from pathlab.enumeration import enumerate_paths, path_distribution
-from pathlab.matroids import activity_terms
+from pathlab.matroids import activity_terms, phi_xy
 from pathlab.paths import Path, Region
 from pathlab.polynomials import MultiPoly
 from pathlab.verify import SUITES
@@ -485,14 +485,18 @@ INVOLUTION_FAULTS = {
 PRINTS = {SWAPALL_EN: "NE\n", CLASS_OF_EN: "EN\nNE\ntotal 2\n"}
 
 
-def test_every_involution_counterexample_has_a_planted_fault():
-    tree = ast.parse(inspect.getsource(verify.check_contact_involution))
-    whats = [
+def counterexample_sites(*sweeps) -> list[str]:
+    """The text of every ``Counterexample`` the sweeps raise, sorted."""
+    return sorted(
         node.args[0].value
-        for node in ast.walk(tree)
+        for sweep in sweeps
+        for node in ast.walk(ast.parse(inspect.getsource(sweep)))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Counterexample"
-    ]
-    assert sorted(whats) == sorted(INVOLUTION_FAULTS)
+    )
+
+
+def test_every_involution_counterexample_has_a_planted_fault():
+    assert counterexample_sites(verify.check_contact_involution) == sorted(INVOLUTION_FAULTS)
 
 
 @pytest.mark.parametrize("what", sorted(INVOLUTION_FAULTS))
@@ -511,20 +515,75 @@ def test_each_involution_check_fires_with_a_runnable_line(capsys, monkeypatch, w
     assert capsys.readouterr().out.startswith(PRINTS[where])
 
 
-def test_an_order_that_changes_the_polynomial_prints_both_tutte_lines(capsys, monkeypatch):
-    """With every ranking that puts element 1 last wrong from three elements
-    on, the first of them at the first such region is (2, 3, 1)."""
-    def last_one_wrong(oracle, order):
-        return {} if len(order) >= 3 and order[-1] == 1 else activity_terms(oracle, order)
+def last_one_wrong(oracle, order):
+    """Every ranking that puts element 1 last wrong, from three elements on."""
+    return {} if len(order) >= 3 and order[-1] == 1 else activity_terms(oracle, order)
 
-    monkeypatch.setattr(verify, "activity_terms", last_one_wrong)
-    assert main(["verify", "--suite", "tutte-orders", "--max", "3"]) == 1
+
+def one_more_term(oracle, order):
+    return {**activity_terms(oracle, order), (9, 9): 1}
+
+
+def mirror_left_out(oracle, order, x, y, base):
+    """``phi_xy`` that leaves the base as it is when the larger of the pair
+    comes first, as the mirror of every natural-order step does."""
+    return phi_xy(oracle, order, x, y, base) if x < y else base
+
+
+def no_contacts(region, path):
+    return frozenset()
+
+
+TUTTE_NNN = "pathlab tutte --region 'T=NNN;B=NNN'"
+
+# One planted fault per counterexample of the three matroid sweeps: the suite,
+# the name in ``verify`` to patch, the fault, and the bracket of the FAIL line
+# at --max 3.  With ``phi_xy`` the identity, every mirror composes to the
+# identity and only the activity pairs tell; the first ranking that puts 1
+# last at the first region of three elements is (2, 3, 1).
+MATROID_FAULTS = {
+    "order changed the polynomial": (
+        "tutte-orders", "activity_terms", last_one_wrong, f"{TUTTE_NNN} vs {TUTTE_NNN} --order perm:2,3,1"
+    ),
+    "natural order mismatch": (
+        "tutte-orders", "activity_terms", one_more_term,
+        "pathlab tutte --region 'T=;B=' vs pathlab dist --region 'T=;B=' --stats l,b",
+    ),
+    "reversed order mismatch": (
+        "tutte-orders", "path_distribution", planted_distribution("rt", one_more_path),
+        "pathlab tutte --region 'T=;B=' --order reversed vs pathlab dist --region 'T=;B=' --stats r,t",
+    ),
+    "mirror composition not identity": ("activity-reorder", "phi_xy", mirror_left_out, "T=NE;B=EN"),
+    "activity pair changed": ("activity-reorder", "phi_xy", lambda oracle, order, x, y, base: base, "T=NE;B=EN"),
+    "internal actives differ": ("activity-contacts", "left_contact_positions", no_contacts, "T=N;B=N N"),
+    "external actives differ": ("activity-contacts", "bottom_contact_positions", no_contacts, "T=E;B=E E"),
+}
+
+
+def test_every_matroid_counterexample_has_a_planted_fault():
+    sweeps = (verify.check_tutte_orders, verify.check_activity_reorder, verify.check_activity_contacts)
+    assert counterexample_sites(*sweeps) == sorted(MATROID_FAULTS)
+
+
+@pytest.mark.parametrize("what", sorted(MATROID_FAULTS))
+def test_each_matroid_check_fires_at_its_planted_fault(capsys, monkeypatch, what):
+    """The exact FAIL line; the CLI lines it names run through the
+    unchanged library."""
+    suite, name, fault, where = MATROID_FAULTS[what]
+    monkeypatch.setattr(verify, name, fault)
+    assert main(["verify", "--suite", suite, "--max", "3"]) == 1
     line = capsys.readouterr().out
-    tutte = "pathlab tutte --region 'T=NNN;B=NNN'"
-    assert line == f"FAIL tutte-orders: order changed the polynomial [{tutte} vs {tutte} --order perm:2,3,1]\n"
+    assert line == f"FAIL {suite}: {what} [{where}]\n"
     monkeypatch.undo()
+    for argv in commands_in(line) if where.startswith("pathlab ") else []:
+        assert main(argv) == 0, argv
+
+
+def test_an_order_that_changes_the_polynomial_prints_both_tutte_lines(capsys):
+    """Both CLI lines of that FAIL line, planted in ``MATROID_FAULTS``, show
+    the true polynomial."""
     outputs = []
-    for argv in commands_in(line):
+    for argv in commands_in(f"[{MATROID_FAULTS['order changed the polynomial'][3]}]"):
         assert main(argv) == 0, argv
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == "x^3\n"

@@ -434,6 +434,69 @@ def test_activity_terms_match_the_row_oracle():
     assert cases == 17818
 
 
+def test_bitmap_kernel_matches_the_row_oracle():
+    """Every order of every small oracle, m <= 5, called on the bitmap side
+    directly: the size rule sends all of them to the buckets.  The uniform
+    ranks 0 and m, where a base has no element on one side, are among
+    them."""
+    cases = 0
+    for oracle, _ in small_cases():
+        m = oracle.ground_size
+        rows = exchange_rows(oracle.base_bits, m)
+        for ranking in permutations(range(1, m + 1)):
+            assert matroids._bitmap_terms(oracle, ranking) == activity_terms_by_rows(rows, ranking), (oracle, ranking)
+            cases += 1
+    assert cases == 17818
+
+
+def shuffled_order(m):
+    shuffled = list(range(1, m + 1))
+    random.Random(m).shuffle(shuffled)
+    return tuple(shuffled)
+
+
+def counted_kernels(monkeypatch):
+    """Patch both kernels of ``activity_terms`` to log the side each call
+    takes."""
+    sides = []
+    for side in ("bitmap", "bucket"):
+        kernel = getattr(matroids, f"_{side}_terms")
+
+        def counted(oracle, ranking, side=side, kernel=kernel):
+            sides.append(side)
+            return kernel(oracle, ranking)
+
+        monkeypatch.setattr(matroids, f"_{side}_terms", counted)
+    return sides
+
+
+@pytest.mark.parametrize(
+    "region, side",
+    [
+        (rectangle(5, 5), "bitmap"),  # m = 10, n = 252: past the floor of 128 pairs
+        (SMALL, "bucket"),  # m = 6, n = 15: below it
+        (rectangle(14, 1), "bucket"),  # m = 15, n = 15: below 2^15 / 16
+        (rectangle(8, 8), "bitmap"),  # m = 16, n = 12,870: past 2^16 / 16
+    ],
+    ids=str,
+)
+def test_tutte_poly_on_each_side_of_the_size_rule(monkeypatch, region, side):
+    """The natural and reversed orders give the (l, b) and (r, t) contact
+    distributions and a shuffled order the same polynomial, on the side
+    the rule picks; the other kernel agrees under the shuffled order."""
+    m = region.x + region.y
+    oracle = lpm_oracle(region)
+    shuffled = shuffled_order(m)
+    other = matroids._bucket_terms if side == "bitmap" else matroids._bitmap_terms
+    sides = counted_kernels(monkeypatch)
+    natural = tutte_poly(oracle, natural_order(m))
+    assert natural == path_distribution(region, ["l", "b"])
+    assert tutte_poly(oracle, reversed_order(m)) == path_distribution(region, ["r", "t"])
+    assert tutte_poly(oracle, shuffled) == natural
+    assert sides == [side] * 3
+    assert other(oracle, shuffled) == natural.terms
+
+
 def test_activity_terms_match_the_row_oracle_at_ground_size_10():
     """Every 10th region of the n = 5 conjecture family (m = 10), under the
     natural order, the reversed order and three seeded random orders."""
@@ -449,33 +512,57 @@ def test_activity_terms_match_the_row_oracle_at_ground_size_10():
             assert activity_terms(oracle, ranking) == activity_terms_by_rows(rows, ranking), (region, ranking)
 
 
-def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
-    """The buckets and their split are each built on the first question to
-    an oracle, and shared by every order and every later question."""
+def counted_tables(monkeypatch):
+    """Patch the builds of the buckets, their split and the bitmaps to log
+    each build."""
     calls = []
     build_buckets = matroids.exchange_buckets
-    split = BasesOracle.__dict__["split"]
-    build_split = split.func
 
     def counted_buckets(encoded, m):
         calls.append("buckets")
         return build_buckets(encoded, m)
 
-    def counted_split(oracle):
-        calls.append("split")
-        return build_split(oracle)
-
-    shuffled = list(range(1, 7))
-    random.Random(6).shuffle(shuffled)
-    orders = (natural_order(6), reversed_order(6), tuple(shuffled))
     monkeypatch.setattr(matroids, "exchange_buckets", counted_buckets)
-    monkeypatch.setattr(split, "func", counted_split)
-    oracle = lpm_oracle(SMALL)
+    for name in ("split", "bitmaps"):
+        table = BasesOracle.__dict__[name]
+
+        def counted(oracle, name=name, build=table.func):
+            calls.append(name)
+            return build(oracle)
+
+        monkeypatch.setattr(table, "func", counted)
+    return calls
+
+
+def assert_tables_built_once(monkeypatch, region, built, per_base):
+    """``tutte_poly`` under three orders builds the tables ``built`` once;
+    a question about one base adds the builds ``per_base``, and an oracle
+    of its own for each order builds ``built`` again, with equal
+    polynomials."""
+    m = region.x + region.y
+    orders = (natural_order(m), reversed_order(m), shuffled_order(m))
+    calls = counted_tables(monkeypatch)
+    oracle = lpm_oracle(region)
     polys = [tutte_poly(oracle, order) for order in orders]
+    assert calls == built
     base = oracle.bases()[0]
     active_elements(oracle, base, orders[2])
     reorder_bijection(oracle, orders[0], orders[1], base)
-    assert calls == ["split", "buckets"]
+    assert calls == built + per_base
     for order, poly in zip(orders, polys):
-        assert poly == tutte_poly(lpm_oracle(SMALL), order)
-    assert calls == ["split", "buckets"] * 4
+        assert poly == tutte_poly(lpm_oracle(region), order)
+    assert calls == built + per_base + built * 3
+
+
+def test_tutte_poly_builds_masks_once_per_oracle(monkeypatch):
+    """On the bucket side (m = 6, n = 15) the buckets and their split are
+    each built on the first question to an oracle, and shared by every
+    order and every later question; no bitmap is built."""
+    assert_tables_built_once(monkeypatch, SMALL, ["split", "buckets"], [])
+
+
+def test_tutte_poly_builds_bitmaps_once_per_oracle(monkeypatch):
+    """On the bitmap side (5x5, m = 10, n = 252) the bitmaps are built once
+    and shared by every order; the buckets are built only when a question
+    about one base asks for them, and their split never."""
+    assert_tables_built_once(monkeypatch, rectangle(5, 5), ["bitmaps"], ["buckets"])
